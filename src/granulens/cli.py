@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -42,18 +41,12 @@ def _attrs_list(text: str) -> list[str]:
 
 
 def _bits_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    b = int(text)
-    return b, b
-
-
-def _default_threads() -> int:
-    env = os.environ.get("GRANULENS_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    lo, sep, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if sep else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a bits level B or range A..B, got {text!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -86,12 +79,13 @@ def build_parser() -> _Parser:
 
     p = table_cmd("sweep", "entropy/boundary curve over a bits range")
     p.add_argument("--attrs", required=True)
-    p.add_argument("--bits", required=True, help="range A..B (or single level)")
+    p.add_argument("--bits", required=True, type=_bits_range,
+                   help="range A..B (or single level)")
     p.add_argument("--out", help="write curve CSV (or JSON with --format json)")
     p.add_argument("--svg", help="write an SVG chart of the curve")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker pool size (default: GRANULENS_THREADS or CPU count)")
+                   help="accepted for compatibility; has no effect")
     p.set_defaults(func=cmd_sweep)
 
     p = table_cmd("reduce", "greedy attribute reduct and information-gain ranking")
@@ -215,9 +209,8 @@ def cmd_entropy(args) -> int:
 def cmd_sweep(args) -> int:
     table = _load(args)
     attrs = _attrs_list(args.attrs)
-    lo, hi = _bits_range(args.bits)
-    threads = args.threads if args.threads is not None else _default_threads()
-    curve = sweep(table, attrs, lo, hi, threads=threads)
+    lo, hi = args.bits
+    curve = sweep(table, attrs, lo, hi)
     summary = convergence_summary(curve)
     print(f"sweep attrs={','.join(attrs) or '(none)'} bits {lo}..{hi}: "
           f"{len(curve.points)} points"

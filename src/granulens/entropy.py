@@ -64,8 +64,8 @@ def joint(labels_x: Sequence, labels_y: Sequence) -> float:
     return shannon(Distribution.from_tokens(zip(labels_x, labels_y)))
 
 
-def _block_entropies(partition: Partition, labels: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """(block sizes, per-block decision entropy), indexed by block id."""
+def _block_entropies(partition: Partition, labels: Sequence) -> tuple[np.ndarray, np.ndarray, int]:
+    """(block sizes, per-block decision entropy, class count), indexed by block id."""
     if len(labels) != partition.n:
         raise UniverseMismatchError(
             f"{len(labels)} labels for a universe of {partition.n}")
@@ -78,12 +78,12 @@ def _block_entropies(partition: Partition, labels: Sequence) -> tuple[np.ndarray
     with np.errstate(divide="ignore", invalid="ignore"):
         p = counts / sizes[:, None]
         terms = np.where(counts > 0, -p * np.log2(p), 0.0)
-    return sizes, terms.sum(axis=1)
+    return sizes, terms.sum(axis=1), k
 
 
 def conditional(labels: Sequence, given: Partition) -> float:
     """H(labels | partition) = sum over blocks of (|B|/|U|) * H(labels in B)."""
-    sizes, block_h = _block_entropies(given, labels)
+    sizes, block_h, _ = _block_entropies(given, labels)
     return float(np.dot(sizes / given.n, block_h))
 
 
@@ -103,14 +103,11 @@ def granular_entropy(partition: Partition, decision_labels: Sequence) -> Granula
     contribute nothing and each mixed block at most log2(k). Both vanish
     together, which ties the entropy channel to the boundary region.
     """
-    sizes, block_h = _block_entropies(partition, decision_labels)
-    n = partition.n
-    weights = sizes / n
-    per_block = [(b, float(weights[b]), float(block_h[b]))
-                 for b in range(partition.block_count)]
+    sizes, block_h, k = _block_entropies(partition, decision_labels)
+    weights = sizes / partition.n
+    per_block = list(zip(range(partition.block_count), weights.tolist(), block_h.tolist()))
     conditional_bits = float(np.dot(weights, block_h))
     _, boundary_fraction = region_fractions(partition, decision_labels)
-    k = len(set(decision_labels))
     normalized = conditional_bits / math.log2(k) if k >= 2 else 0.0
     return GranularEntropyReport(per_block, conditional_bits, boundary_fraction,
                                  k, normalized)

@@ -77,8 +77,8 @@ def approximate(partition: Partition, concept: ConceptSet) -> RoughApproximation
     return RoughApproximation(lower, upper, boundary, alpha, label=concept.label)
 
 
-def _label_matrix(partition: Partition, labels: Sequence) -> tuple[np.ndarray, list]:
-    """Per-(block, class) count matrix plus class tokens in first-occurrence order."""
+def _label_matrix(partition: Partition, labels: Sequence) -> np.ndarray:
+    """Per-(block, class) count matrix; classes are columns in first-occurrence order."""
     if len(labels) != partition.n:
         raise UniverseMismatchError(
             f"{len(labels)} labels for a universe of {partition.n}")
@@ -88,18 +88,12 @@ def _label_matrix(partition: Partition, labels: Sequence) -> tuple[np.ndarray, l
     k = int(codes.max()) + 1
     counts = np.bincount(partition.block_of * k + codes,
                          minlength=partition.block_count * k)
-    classes: list = []
-    seen = set()
-    for t in labels:
-        if t not in seen:
-            seen.add(t)
-            classes.append(t)
-    return counts.reshape(partition.block_count, k), classes
+    return counts.reshape(partition.block_count, k)
 
 
 def region_fractions(partition: Partition, labels: Sequence) -> tuple[Fraction, Fraction]:
     """(gamma, boundary_fraction) without materializing the region sets."""
-    counts, _ = _label_matrix(partition, labels)
+    counts = _label_matrix(partition, labels)
     sizes = counts.sum(axis=1)
     pure = (counts == sizes[:, None]).any(axis=1)
     pos = int(sizes[pure].sum())
@@ -114,7 +108,8 @@ def regions(partition: Partition, decision_labels: Sequence) -> RegionReport:
     overall boundary is exactly the set of objects in blocks holding two or
     more distinct classes. gamma + boundary_fraction = 1 in exact arithmetic.
     """
-    counts, classes = _label_matrix(partition, decision_labels)
+    counts = _label_matrix(partition, decision_labels)
+    classes = list(dict.fromkeys(decision_labels))
     sizes = counts.sum(axis=1)
     block_of = partition.block_of
     universe = frozenset(range(partition.n))

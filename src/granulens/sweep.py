@@ -8,14 +8,15 @@ so the sweep stops early and flags the curve as saturated.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DataError
-from .table import InformationTable, GranulationScheme, discretize, partition_by
+from .table import (InformationTable, GranulationScheme, Partition, discretize,
+                    factorize, partition_by)
 from .entropy import granular_entropy
-from .rough import region_fractions
 
 MAX_BITS = 24
 
@@ -53,26 +54,43 @@ class ConvergenceSummary:
         return None
 
 
-def _point_at(table: InformationTable, attrs: Sequence[str], bits: int) -> SweepPoint:
-    scheme = GranulationScheme.uniform(table, bits, attrs=list(attrs) or None)
-    if attrs:
-        part = partition_by(discretize(table, scheme), list(attrs))
-    else:
-        from .table import Partition
-        part = Partition.single_block(table.n)
-    report = granular_entropy(part, table.decision_labels)
-    gamma, bf = region_fractions(part, table.decision_labels)
-    return SweepPoint(bits, part.block_count, report.conditional_bits,
-                      report.normalized_conditional, float(bf), float(gamma))
+def _point_at(partition: Partition, decision_codes: np.ndarray, bits: int) -> SweepPoint:
+    report = granular_entropy(partition, decision_codes)
+    boundary = report.boundary_fraction
+    return SweepPoint(bits, partition.block_count, report.conditional_bits,
+                      report.normalized_conditional, float(boundary), float(1 - boundary))
+
+
+def _refine(partition: Partition, columns: Sequence[np.ndarray], width: int) -> Partition:
+    """Split every block of ``partition`` by the low ``width`` bits of each column.
+
+    Columns are packed into the key ``ids << width | bits`` as many at a
+    time as int64 holds; with width <= MAX_BITS + 1 and fewer than 2**38
+    blocks, at least one fits.
+    """
+    mask = (1 << width) - 1
+    pending = list(columns)
+    while pending:
+        fits = (63 - (partition.block_count - 1).bit_length()) // width
+        chunk, pending = pending[:fits], pending[fits:]
+        keys = partition.block_of
+        for col in chunk:
+            keys = (keys << width) | (col & mask)
+        partition = Partition(factorize(keys))
+    return partition
 
 
 def sweep(table: InformationTable, attrs: Sequence[str],
           bits_from: int, bits_to: int, threads: int = 1) -> SweepCurve:
     """Evaluate one SweepPoint per bits level in [bits_from, bits_to].
 
-    Levels are independent; with threads > 1 they are evaluated
-    concurrently but assembled in bits order, so output is identical to the
-    single-threaded run.
+    The table is discretized once, at ``bits_to``; bins are nested, so a
+    numeric code at level b is the top code shifted right by
+    ``bits_to - b`` (the missing bin 2**bits_to lands on 2**b). Each level
+    refines the partition of the level before by the bit it adds. The
+    sweep stops at the first level whose blocks are all single objects,
+    computes no later level, and marks the curve saturated. ``threads`` is
+    accepted for compatibility and has no effect.
     """
     if not (0 <= bits_from <= bits_to <= MAX_BITS):
         raise DataError(f"invalid bits range {bits_from}..{bits_to} "
@@ -82,24 +100,25 @@ def sweep(table: InformationTable, attrs: Sequence[str],
         if name == table.decision:
             raise DataError("cannot sweep over the decision attribute")
 
-    levels = list(range(bits_from, bits_to + 1))
+    swept = [a for a in table.attributes if a.name in attrs]
+    categorical = [a.name for a in swept if a.kind == "categorical"]
+    numeric = [a.name for a in swept if a.kind == "numeric"]
+    top = discretize(table, GranulationScheme.uniform(table, bits_to, numeric))
+    top_codes = [top.codes_for(name) for name in numeric]
+    decision_codes = factorize(table.decision_labels)
+
+    # The first level takes whole codes (at most 2**bits_from, the missing
+    # bin); every later level adds one bit.
+    part, width = partition_by(top, categorical), bits_from + 1
     points: list[SweepPoint] = []
     saturated = False
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            computed = list(pool.map(lambda b: _point_at(table, attrs, b), levels))
-        for pt in computed:
-            points.append(pt)
-            if pt.block_count == table.n:
-                saturated = True
-                break
-    else:
-        for b in levels:
-            pt = _point_at(table, attrs, b)
-            points.append(pt)
-            if pt.block_count == table.n:
-                saturated = True
-                break
+    for b in range(bits_from, bits_to + 1):
+        part = _refine(part, [c >> (bits_to - b) for c in top_codes], width)
+        width = 1
+        points.append(_point_at(part, decision_codes, b))
+        if part.block_count == table.n:
+            saturated = True
+            break
     return SweepCurve(points, tuple(attrs), table_id=table.table_id,
                       saturated=saturated)
 

@@ -230,6 +230,10 @@ def load_table(csv_data: bytes | str, decision_name: str,
 
 def factorize(tokens: Iterable) -> np.ndarray:
     """Integer codes for a token sequence, ordinals by first occurrence."""
+    if (isinstance(tokens, np.ndarray) and tokens.ndim == 1
+            and np.issubdtype(tokens.dtype, np.integer)):
+        _, inverse = np.unique(tokens, return_inverse=True)
+        return _first_occurrence_ids(inverse.astype(np.int64, copy=False))
     seen: dict = {}
     codes = []
     for t in tokens:

@@ -2,13 +2,16 @@
 
 The oracles here deliberately stay brute-force double loops over the
 universe so they remain independent of the library's vectorized paths.
+The sweep oracle rebuilds every level from scratch instead of refining.
 """
 
 import csv
 import io
 import random
 
-from granulens import load_table, discretize, GranulationScheme
+from granulens import (GranulationScheme, Partition, SweepPoint, discretize,
+                       granular_entropy, load_table, partition_by)
+from granulens.rough import region_fractions
 
 
 def random_table(rng: random.Random, max_n=32, max_attrs=5, max_classes=4,
@@ -87,6 +90,67 @@ def brute_regions(tuples, labels):
     positive = set().union(*(lo for lo, _, _ in per_class.values()))
     boundary = set().union(*(bn for _, _, bn in per_class.values()))
     return per_class, positive, boundary, universe
+
+
+def random_sweep_table(rng: random.Random, max_n=40, max_attrs=6, max_classes=3):
+    """Random table for sweep checks.
+
+    Numeric columns come at mixed scales, with ties, missing cells, or as
+    constant and all-missing columns. Rows are sometimes drawn with
+    replacement from a small pool so that deep levels stay unsaturated.
+    """
+    m = rng.randint(1, max_attrs)
+    names = [f"c{i}" for i in range(m)]
+    kinds = [rng.choice(["numeric", "numeric", "ties", "constant", "missing",
+                         "categorical"]) for _ in range(m)]
+    scale = 10.0 ** rng.randint(-3, 3)
+
+    def cell(kind):
+        if kind == "missing" or rng.random() < 0.1:
+            return ""
+        if kind == "numeric":
+            return repr(rng.uniform(-1, 1) * scale)
+        if kind == "ties":
+            return str(rng.choice([0, 1, 3, 4, 7]))
+        if kind == "constant":
+            return "2.5"
+        return rng.choice("uvwx")
+
+    pool = [[cell(kind) for kind in kinds] for _ in range(rng.randint(1, max_n))]
+    n = rng.randint(1, max_n)
+    rows = [rng.choice(pool) for _ in range(n)] if rng.random() < 0.5 else pool
+    k = rng.randint(1, max_classes)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(names + ["d"])
+    for row in rows:
+        writer.writerow(row + [f"k{rng.randrange(k)}"])
+    hints = {name: "categorical" if kind == "categorical" else "numeric"
+             for name, kind in zip(names, kinds)}
+    return load_table(buf.getvalue(), "d", schema_hints=hints)
+
+
+def point_from_scratch(table, attrs, bits) -> SweepPoint:
+    """One sweep level: discretize, partition, then entropy and regions."""
+    scheme = GranulationScheme.uniform(table, bits, attrs=list(attrs) or None)
+    if attrs:
+        part = partition_by(discretize(table, scheme), list(attrs))
+    else:
+        part = Partition.single_block(table.n)
+    report = granular_entropy(part, table.decision_labels)
+    gamma, bf = region_fractions(part, table.decision_labels)
+    return SweepPoint(bits, part.block_count, report.conditional_bits,
+                      report.normalized_conditional, float(bf), float(gamma))
+
+
+def sweep_from_scratch(table, attrs, bits_from, bits_to):
+    """(points, saturated): each level rebuilt independently, stopping at saturation."""
+    points = []
+    for b in range(bits_from, bits_to + 1):
+        points.append(point_from_scratch(table, attrs, b))
+        if points[-1].block_count == table.n:
+            return points, True
+    return points, False
 
 
 def run_csv(rows, run_id=None, meta=None, header=("object_index", "predicted")):

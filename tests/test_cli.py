@@ -62,6 +62,26 @@ class TestSweepCommand:
                  "--bits", "0..3", "--out", str(b), "--threads", "4"])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("bits", ["a..3", "2..x", "5..", ".."])
+    def test_malformed_bits_usage_error(self, tmp_path, toy8_file, capsys, bits):
+        out = tmp_path / "curve.csv"
+        code = run_cli(["sweep", str(toy8_file), "--decision", "d", "--attrs", "a2",
+                        "--bits", bits, "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+    def test_threads_env_ignored(self, tmp_path, toy8_file, monkeypatch):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["sweep", str(toy8_file), "--decision", "d", "--attrs", "a2",
+                "--bits", "0..3", "--out"]
+        monkeypatch.delenv("GRANULENS_THREADS", raising=False)
+        assert run_cli(argv + [str(a)]) == 0
+        monkeypatch.setenv("GRANULENS_THREADS", "abc")
+        assert run_cli(argv + [str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestRoughCommand:
     def test_class_report(self, toy8_file, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from granulens import (
     sweep,
 )
 
-from helpers import random_table
+from helpers import random_sweep_table, random_table, sweep_from_scratch
 
 TOL = 1e-9
 
@@ -69,6 +70,20 @@ class TestSweep:
         assert curve.points[-1].bits_level == 3
         assert curve.saturated
 
+    def test_no_level_past_saturation_is_computed(self, toy8, monkeypatch):
+        module = import_module("granulens.sweep")
+        real = module.granular_entropy
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, "granular_entropy", counting)
+        curve = sweep(toy8, ["a2"], 0, 24, threads=4)
+        assert curve.saturated and len(curve.points) == 4
+        assert len(calls) == 4
+
     def test_parallel_identical(self, titanic):
         attrs = [a.name for a in titanic.condition_attributes]
         serial = sweep(titanic, attrs, 0, 6, threads=1)
@@ -122,3 +137,55 @@ def test_curve_monotone_and_bounded(seed):
             assert p.conditional_bits <= p.boundary_fraction * math.log2(k) + TOL
     assert sweep(table, attrs, 0, curve.points[-1].bits_level) == \
         sweep(table, attrs, 0, curve.points[-1].bits_level)
+
+
+def _sweep_attrs(rng: random.Random, table):
+    """Empty, categorical-only, or a random subset that may repeat names."""
+    names = [a.name for a in table.condition_attributes]
+    categorical = [a.name for a in table.condition_attributes if a.kind == "categorical"]
+    shape = rng.choice(["empty", "categorical", "subset", "repeats"])
+    if shape == "empty":
+        return []
+    if shape == "categorical":
+        return rng.sample(categorical, rng.randint(0, len(categorical)))
+    if shape == "repeats":
+        return [rng.choice(names) for _ in range(rng.randint(1, 2 * len(names)))]
+    return rng.sample(names, rng.randint(1, len(names)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_sweep_matches_from_scratch_oracle(seed):
+    rng = random.Random(seed)
+    table = random_sweep_table(rng)
+    attrs = _sweep_attrs(rng, table)
+    lo, hi = sorted(rng.randint(0, 24) for _ in range(2))
+    points, saturated = sweep_from_scratch(table, attrs, lo, hi)
+    curve = sweep(table, attrs, lo, hi)
+    assert curve.points == points
+    assert curve.saturated == saturated
+
+
+@pytest.mark.parametrize("bits_from", [0, 1, 20])
+def test_sweep_matches_oracle_on_72_numeric_columns(bits_from):
+    # More numeric columns than bits in an int64 key: row 2j+1 differs from
+    # the all-zero rows only in column j, and row 144+j only by a missing
+    # cell in column j, so a column dropped from the key merges a block.
+    rng = random.Random(72)
+    m = 72
+    rows = [["0"] * m for _ in range(2 * m)]
+    for j in range(m):
+        rows[2 * j + 1][j] = "1"
+        missing = ["0"] * m
+        missing[j] = ""
+        rows.append(missing)
+    rows.append([repr(rng.random()) for _ in range(m)])
+    text = ",".join(f"c{j}" for j in range(m)) + ",d\n" + "".join(
+        ",".join(row) + f",k{rng.randrange(3)}\n" for row in rows)
+    table = load_table(text, "d")
+    attrs = [f"c{j}" for j in range(m)]
+    points, saturated = sweep_from_scratch(table, attrs, bits_from, 24)
+    curve = sweep(table, attrs, bits_from, 24)
+    assert not saturated and len(points) == 25 - bits_from
+    assert curve.points == points
+    assert curve.saturated == saturated
