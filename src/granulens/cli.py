@@ -191,7 +191,7 @@ def cmd_rough(args) -> int:
 def cmd_entropy(args) -> int:
     table = _load(args)
     attrs, part = _partition_for(args, table)
-    rep = granular_entropy(part, table.decision_labels)
+    rep = granular_entropy(part, table.decision_codes)
     print(f"granular entropy under attrs={','.join(attrs) or '(none)'} "
           f"bits={args.bits}: blocks={part.block_count} "
           f"conditional_bits={fmt(rep.conditional_bits)} "
@@ -239,8 +239,8 @@ def cmd_sweep(args) -> int:
 def cmd_reduce(args) -> int:
     table = _load(args)
     view = discretize(table, GranulationScheme.uniform(table, args.bits))
-    result = greedy_reduct(view, table.decision_labels)
-    ranking = entropy_rank(view, table.decision_labels)
+    result = greedy_reduct(view, table.decision_codes)
+    ranking = entropy_rank(view, table.decision_codes)
     print(f"reduct at bits={args.bits}: selected={result.selected} "
           f"gamma={fmt(float(result.gamma_selected))} "
           f"(full {fmt(float(result.gamma_full))})")

@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, UniverseMismatchError
-from .table import Partition, factorize
-from .rough import region_fractions
+from .table import Partition
+from .rough import _label_matrix, region_fractions
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,12 @@ def joint(labels_x: Sequence, labels_y: Sequence) -> float:
 
 def _block_entropies(partition: Partition, labels: Sequence) -> tuple[np.ndarray, np.ndarray, int]:
     """(block sizes, per-block decision entropy, class count), indexed by block id."""
-    if len(labels) != partition.n:
-        raise UniverseMismatchError(
-            f"{len(labels)} labels for a universe of {partition.n}")
-    codes = factorize(labels)
-    k = int(codes.max()) + 1
-    counts = np.bincount(partition.block_of * k + codes,
-                         minlength=partition.block_count * k)
-    counts = counts.reshape(partition.block_count, k)
+    counts = _label_matrix(partition, labels)
     sizes = counts.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = counts / sizes[:, None]
         terms = np.where(counts > 0, -p * np.log2(p), 0.0)
-    return sizes, terms.sum(axis=1), k
+    return sizes, terms.sum(axis=1), counts.shape[1]
 
 
 def conditional(labels: Sequence, given: Partition) -> float:

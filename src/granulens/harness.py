@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DataError, UniverseMismatchError
-from .table import InformationTable, Partition
+from .table import InformationTable, Partition, decode_text
 from .entropy import granular_entropy
-from .rough import region_fractions
 
 _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
 
@@ -64,10 +64,8 @@ def load_run(csv_data: bytes | str, table: InformationTable,
     An optional first line ``# run_id=<text> meta=<text>`` overrides the
     run id. object_index values must be exactly 0..n-1 in any order.
     """
-    if isinstance(csv_data, bytes):
-        csv_data = csv_data.decode("utf-8")
     meta = ""
-    lines = csv_data.splitlines()
+    lines = decode_text(csv_data).splitlines()
     if lines and lines[0].lstrip().startswith("#"):
         m = _DIRECTIVE.match(lines[0].strip())
         if m:
@@ -126,10 +124,10 @@ def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:
     else:
         part = Partition.from_labels(run.predicted)
         fallback = True
-    report = granular_entropy(part, truth)
-    gamma, bf = region_fractions(part, truth)
+    report = granular_entropy(part, table.decision_codes)
+    bf = report.boundary_fraction
     return EvalReport(run.run_id, correct / n, report.conditional_bits,
-                      float(bf), float(gamma), part.block_count, fallback)
+                      float(bf), float(1 - bf), part.block_count, fallback)
 
 
 def compare_runs(reports: Sequence[EvalReport], tolerance: float = 0.005,
@@ -145,6 +143,8 @@ def compare_runs(reports: Sequence[EvalReport], tolerance: float = 0.005,
         raise DataError("no reports to compare")
     if rank_by not in ("boundary-first", "entropy-first"):
         raise DataError(f"unknown rank_by {rank_by!r}")
+    if not math.isfinite(tolerance) or tolerance < 0:
+        raise DataError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     best_acc = max(r.accuracy for r in reports)
 
     def cand_key(r: EvalReport):

@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DataError
-from .table import DiscreteView, partition_by
+from .table import DiscreteView, factorize, partition_by
 from .rough import dependency
 from .entropy import conditional, shannon, Distribution
 
@@ -32,10 +32,6 @@ def _gamma_of(view: DiscreteView, labels, attrs: Sequence[str]) -> Fraction:
     return dependency(partition_by(view, list(attrs)), labels)
 
 
-def _cond_of(view: DiscreteView, labels, attrs: Sequence[str]) -> float:
-    return conditional(labels, partition_by(view, list(attrs)))
-
-
 def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     """Forward-select attributes by dependency gain, then prune redundant picks.
 
@@ -47,7 +43,7 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     names = view.condition_names
     if not names:
         raise DataError("no condition attributes to reduce over")
-    labels = decision_labels
+    labels = factorize(decision_labels)
     gamma_full = _gamma_of(view, labels, names)
 
     if gamma_full < 1:
@@ -61,8 +57,8 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
         for name in names:
             if name in selected:
                 continue
-            cand = selected + [name]
-            key = (-_gamma_of(view, labels, cand), _cond_of(view, labels, cand))
+            part = partition_by(view, selected + [name])
+            key = (-dependency(part, labels), conditional(labels, part))
             if best is None or key < best[0]:
                 best = (key, name)
         (neg_gamma, cond_bits), name = best
@@ -89,7 +85,7 @@ def exhaustive_reducts(view: DiscreteView, decision_labels,
     names = view.condition_names
     if len(names) > max_attrs:
         raise DataError(f"{len(names)} attributes exceeds max_attrs={max_attrs}")
-    labels = decision_labels
+    labels = factorize(decision_labels)
     gamma_full = _gamma_of(view, labels, names)
     found: list[tuple[str, ...]] = []
     for size in range(len(names) + 1):
@@ -110,6 +106,8 @@ def entropy_rank(view: DiscreteView, decision_labels) -> list[tuple[str, float]]
     if not names:
         raise DataError("no condition attributes to rank")
     h_d = shannon(Distribution.from_tokens(decision_labels))
-    gains = [(name, h_d - _cond_of(view, decision_labels, [name])) for name in names]
+    labels = factorize(decision_labels)
+    gains = [(name, h_d - conditional(labels, partition_by(view, [name])))
+             for name in names]
     gains.sort(key=lambda item: -item[1])  # stable: ties stay in declaration order
     return gains

@@ -105,7 +105,6 @@ def sweep(table: InformationTable, attrs: Sequence[str],
     numeric = [a.name for a in swept if a.kind == "numeric"]
     top = discretize(table, GranulationScheme.uniform(table, bits_to, numeric))
     top_codes = [top.codes_for(name) for name in numeric]
-    decision_codes = factorize(table.decision_labels)
 
     # The first level takes whole codes (at most 2**bits_from, the missing
     # bin); every later level adds one bit.
@@ -115,7 +114,7 @@ def sweep(table: InformationTable, attrs: Sequence[str],
     for b in range(bits_from, bits_to + 1):
         part = _refine(part, [c >> (bits_to - b) for c in top_codes], width)
         width = 1
-        points.append(_point_at(part, decision_codes, b))
+        points.append(_point_at(part, table.decision_codes, b))
         if part.block_count == table.n:
             saturated = True
             break

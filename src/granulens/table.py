@@ -115,6 +115,11 @@ class InformationTable:
     def decision_labels(self) -> list:
         return self._columns[self.decision]
 
+    @cached_property
+    def decision_codes(self) -> np.ndarray:
+        """Decision classes as first-occurrence integer codes, factorized once."""
+        return factorize(self.decision_labels)
+
     @classmethod
     def from_columns(cls, columns: Mapping[str, Sequence], decision: str,
                      kinds: Mapping[str, str] | None = None,
@@ -155,6 +160,14 @@ def _observed_range(col: Sequence) -> tuple[float, float] | None:
     return (min(vals), max(vals))
 
 
+def decode_text(data: bytes | str) -> str:
+    """Decode CSV bytes as UTF-8, dropping a leading byte-order mark."""
+    try:
+        return data.decode("utf-8-sig") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not valid UTF-8: {exc}") from None
+
+
 def load_table(csv_data: bytes | str, decision_name: str,
                schema_hints: Mapping[str, str] | None = None,
                table_id: str = "") -> InformationTable:
@@ -164,9 +177,7 @@ def load_table(csv_data: bytes | str, decision_name: str,
     unless ``schema_hints`` overrides its kind. Empty cells and ``?`` are
     MISSING. The decision column must be total and is always categorical.
     """
-    if isinstance(csv_data, bytes):
-        csv_data = csv_data.decode("utf-8")
-    reader = csv.reader(io.StringIO(csv_data))
+    reader = csv.reader(io.StringIO(decode_text(csv_data)))
     try:
         header = next(reader)
     except StopIteration:
@@ -278,6 +289,8 @@ def discretize(table: InformationTable, scheme: GranulationScheme) -> DiscreteVi
             raise DataError(f"scheme references non-numeric attribute {name!r}")
         if b < 0:
             raise DataError(f"negative bits for attribute {name!r}")
+        if b > 62:  # the missing-bin code 2**b must fit in int64
+            raise DataError(f"bits {b} for attribute {name!r} exceeds 62")
 
     cols = []
     for spec in table.attributes:
@@ -331,14 +344,8 @@ class Partition:
         """True iff every block of self lies within a single block of other."""
         if self.n != other.n:
             return False
-        owner = np.full(self.block_count, -1, dtype=np.int64)
-        for i in range(self.n):
-            b = self.block_of[i]
-            if owner[b] == -1:
-                owner[b] = other.block_of[i]
-            elif owner[b] != other.block_of[i]:
-                return False
-        return True
+        pairs = np.unique(self.block_of * other.block_count + other.block_of)
+        return len(pairs) == self.block_count
 
     @classmethod
     def from_labels(cls, labels: Iterable) -> "Partition":
@@ -381,6 +388,8 @@ def partition_by(view: DiscreteView, attrs: Sequence[str]) -> Partition:
     ids = np.zeros(table.n, dtype=np.int64)
     for name in ordered:
         col = view.codes_for(name)
+        if (int(ids.max()) + 1) * (int(col.max()) + 1) > 2**63:  # key would wrap
+            _, col = np.unique(col, return_inverse=True)
         keys = ids * (int(col.max()) + 1) + col
         _, ids = np.unique(keys, return_inverse=True)
     return Partition(_first_occurrence_ids(ids))

@@ -3,14 +3,20 @@
 The oracles here deliberately stay brute-force double loops over the
 universe so they remain independent of the library's vectorized paths.
 The sweep oracle rebuilds every level from scratch instead of refining.
+The reduct and run-evaluation oracles count on the decision's token labels
+and build a separate partition for each metric.
 """
 
 import csv
 import io
 import random
 
-from granulens import (GranulationScheme, Partition, SweepPoint, discretize,
-                       granular_entropy, load_table, partition_by)
+import numpy as np
+
+from granulens import (DataError, EvalReport, GranulationScheme, Partition,
+                       ReductResult, SweepPoint, conditional, dependency,
+                       discretize, granular_entropy, load_table, partition_by)
+from granulens.reduction import ReductStep
 from granulens.rough import region_fractions
 
 
@@ -164,3 +170,65 @@ def run_csv(rows, run_id=None, meta=None, header=("object_index", "predicted")):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def refines_by_loop(fine, coarse):
+    """Partition.refines object by object: each block of ``fine`` keeps one owner."""
+    if fine.n != coarse.n:
+        return False
+    owner = np.full(fine.block_count, -1, dtype=np.int64)
+    for i in range(fine.n):
+        b = fine.block_of[i]
+        if owner[b] == -1:
+            owner[b] = coarse.block_of[i]
+        elif owner[b] != coarse.block_of[i]:
+            return False
+    return True
+
+
+def greedy_reduct_two_partitions(view, decision_labels):
+    """greedy_reduct with one partition for gamma and another for H(D|P)."""
+    def gamma_of(attrs):
+        return dependency(partition_by(view, list(attrs)), decision_labels)
+
+    def cond_of(attrs):
+        return conditional(decision_labels, partition_by(view, list(attrs)))
+
+    names = view.condition_names
+    if not names:
+        raise DataError("no condition attributes to reduce over")
+    gamma_full = gamma_of(names)
+    if gamma_full < 1:
+        return ReductResult(list(names), gamma_full, gamma_full, [])
+    selected, trace = [], []
+    gamma_cur = gamma_of(selected)
+    while gamma_cur < gamma_full:
+        best = None
+        for name in names:
+            if name in selected:
+                continue
+            cand = selected + [name]
+            key = (-gamma_of(cand), cond_of(cand))
+            if best is None or key < best[0]:
+                best = (key, name)
+        (neg_gamma, cond_bits), name = best
+        selected.append(name)
+        gamma_cur = -neg_gamma
+        trace.append(ReductStep(name, gamma_cur, cond_bits))
+    for name in reversed(list(selected)):
+        remaining = [a for a in selected if a != name]
+        if gamma_of(remaining) == gamma_full:
+            selected = remaining
+    return ReductResult(selected, gamma_of(selected), gamma_full, trace)
+
+
+def evaluate_run_on_tokens(table, run):
+    """evaluate_run metrics from granular_entropy plus region_fractions on tokens."""
+    truth = table.decision_labels
+    correct = sum(1 for p, t in zip(run.predicted, truth) if str(p) == str(t))
+    fallback = run.granule is None
+    part = Partition.from_labels(run.predicted if fallback else run.granule)
+    report = granular_entropy(part, truth)
+    gamma, bf = region_fractions(part, truth)
+    return EvalReport(run.run_id, correct / table.n, report.conditional_bits,
+                      float(bf), float(gamma), part.block_count, fallback)

@@ -148,6 +148,33 @@ class TestOtherCommands:
         assert run_cli(["inspect", str(bad), "--decision", "d"]) == 2
         assert "ragged" in capsys.readouterr().err
 
+    def test_encodings(self, tmp_path, toy8_file, toy8_csv, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + toy8_csv.encode())
+        assert run_cli(["inspect", str(bom), "--decision", "a1"]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,d\n\xff,0\n")
+        assert run_cli(["inspect", str(bad), "--decision", "d"]) == 2
+        bad_run = tmp_path / "run.csv"
+        bad_run.write_bytes(b"object_index,predicted\n0,\xff\n")
+        assert run_cli(["evaluate", str(toy8_file), str(bad_run), "--decision", "d"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("not valid UTF-8") == 2 and "Traceback" not in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_bad_tolerance_exit_2(self, tmp_path, toy8_file, toy8, capsys, tolerance):
+        run = tmp_path / "run.csv"
+        run.write_text(run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]))
+        assert run_cli(["compare", str(toy8_file), str(run), "--decision", "d",
+                        "--tolerance", tolerance]) == 2
+        assert "tolerance must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["rough", "entropy", "reduce"])
+    def test_bits_above_62_exit_2(self, toy8_file, capsys, cmd):
+        attrs = [] if cmd == "reduce" else ["--attrs", "a2"]
+        assert run_cli([cmd, str(toy8_file), "--decision", "d", "--bits", "63", *attrs]) == 2
+        assert "exceeds 62" in capsys.readouterr().err
+
 
 class TestSvg:
     def test_structure(self, toy8, tmp_path):

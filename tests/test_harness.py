@@ -1,6 +1,8 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from granulens import (
     DataError,
@@ -9,9 +11,10 @@ from granulens import (
     compare_runs,
     evaluate_run,
     load_run,
+    load_table,
 )
 
-from helpers import run_csv
+from helpers import evaluate_run_on_tokens, random_table, run_csv
 
 
 def perfect_rows(toy8, granule=None):
@@ -53,6 +56,18 @@ class TestLoadRun:
         random.Random(0).shuffle(rows)
         run = load_run(run_csv(rows), toy8)
         assert evaluate_run(toy8, run).accuracy == 1.0
+
+    def test_utf8_bom_is_dropped(self, toy8):
+        text = run_csv(perfect_rows(toy8), run_id="bom")
+        run = load_run(b"\xef\xbb\xbf" + text.encode(), toy8)
+        assert run.run_id == "bom"
+        plain = run_csv(perfect_rows(toy8))
+        assert load_run(b"\xef\xbb\xbf" + plain.encode(), toy8).predicted == toy8.decision_labels
+
+    def test_undecodable_bytes_are_data_error(self, toy8):
+        data = run_csv(perfect_rows(toy8)).encode().replace(b"0,0", b"0,\xff", 1)
+        with pytest.raises(DataError, match="UTF-8"):
+            load_run(data, toy8)
 
     def test_duplicate_and_out_of_range(self, toy8):
         rows = perfect_rows(toy8)
@@ -147,3 +162,46 @@ class TestCompareRuns:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             compare_runs([])
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):
+        with pytest.raises(DataError, match="tolerance"):
+            compare_runs([_report("A", 0.8, 0.1)], tolerance=tolerance)
+        assert compare_runs([_report("A", 0.8, 0.1)], tolerance=0.0).selected == "A"
+
+
+def _random_run(rng, table):
+    labels = table.decision_labels
+    tokens = sorted(set(labels)) + ["other"]
+    predicted = [t if rng.random() < 0.7 else rng.choice(tokens) for t in labels]
+    granule = None
+    if rng.random() < 0.5:
+        granule = [f"g{rng.randrange(rng.randint(1, table.n))}" for _ in range(table.n)]
+    return ModelRun("r", predicted, granule)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_evaluate_run_matches_token_oracle(seed):
+    rng = random.Random(seed)
+    table = random_table(rng, max_n=40, max_classes=5)
+    for _ in range(3):
+        run = _random_run(rng, table)
+        assert evaluate_run(table, run) == evaluate_run_on_tokens(table, run)
+
+
+def test_decision_factorized_once_per_table(monkeypatch, toy8_csv):
+    table = load_table(toy8_csv, "d")
+    seen = []
+    for mod in [m for name, m in sys.modules.items()
+                if name.startswith("granulens.") and hasattr(m, "factorize")]:
+        orig = mod.factorize
+
+        def counting(tokens, orig=orig):
+            seen.append(tokens is table.decision_labels)
+            return orig(tokens)
+        monkeypatch.setattr(mod, "factorize", counting)
+    run = ModelRun("r", list(table.decision_labels), granule=[str(i % 3) for i in range(8)])
+    reports = [evaluate_run(table, run) for _ in range(3)]
+    assert reports[0] == reports[1] == reports[2]
+    assert seen.count(True) == 1

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import granulens.reduction
 
 from granulens import (
     DataError,
@@ -15,7 +18,7 @@ from granulens import (
     dependency,
 )
 
-from helpers import random_table
+from helpers import greedy_reduct_two_partitions, random_table, random_view
 
 
 def toy8_view(toy8):
@@ -141,3 +144,39 @@ def test_greedy_soundness_and_oracle_containment():
             assert dependency(part, labels) < 1
         reducts = exhaustive_reducts(view, labels, max_attrs=8)
         assert any(set(r) <= set(result.selected) for r in reducts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_greedy_matches_two_partition_oracle(seed):
+    """Consistent categorical tables run the search; random mixed ones often fall back."""
+    rng = random.Random(seed)
+    if rng.random() < 0.6:
+        table = _consistent_table(rng, max_attrs=7)
+        view = discretize(table, GranulationScheme())
+    else:
+        table = random_table(rng, max_n=24)
+        view = random_view(rng, table, max_bits=6)
+    assert (greedy_reduct(view, table.decision_labels)
+            == greedy_reduct_two_partitions(view, table.decision_labels))
+
+
+def test_one_partition_per_greedy_candidate(monkeypatch):
+    rng = random.Random(3)
+    orig = granulens.reduction.partition_by
+    calls = []
+    monkeypatch.setattr(granulens.reduction, "partition_by",
+                        lambda view, attrs: calls.append(list(attrs)) or orig(view, attrs))
+    searched = 0
+    for _ in range(20):
+        table = _consistent_table(rng)
+        view = discretize(table, GranulationScheme())
+        calls.clear()
+        result = greedy_reduct(view, table.decision_labels)
+        m, steps = len(view.condition_names), len(result.trace)
+        candidates = sum(m - i for i in range(steps))
+        searched += steps > 0
+        # gamma over all attributes and over none, the candidates, one
+        # prune check per pick, and the final gamma
+        assert len(calls) == 2 + candidates + steps + 1
+    assert searched >= 10

@@ -8,12 +8,13 @@ from granulens import (
     DataError,
     GranulationScheme,
     MISSING,
+    Partition,
     discretize,
     load_table,
     partition_by,
 )
 
-from helpers import random_table, random_view, random_attr_subset
+from helpers import random_table, random_view, random_attr_subset, refines_by_loop
 
 
 class TestLoadTable:
@@ -66,6 +67,15 @@ class TestLoadTable:
         table = load_table("a,d\n1,0\n2,1\n", "d", schema_hints={"a": "categorical"})
         assert table.attribute("a").kind == "categorical"
 
+    def test_utf8_bom_is_dropped(self):
+        table = load_table(b"\xef\xbb\xbfd,a\n0,1\n1,2\n", "d")
+        assert table.decision == "d"
+        assert table.decision_labels == ["0", "1"]
+
+    def test_undecodable_bytes_are_data_error(self):
+        with pytest.raises(DataError, match="UTF-8"):
+            load_table(b"a,d\n\xff,0\n", "d")
+
 
 class TestDiscretize:
     def test_equal_width_arithmetic(self):
@@ -90,6 +100,12 @@ class TestDiscretize:
         table = load_table("v,d\n3,0\n3,1\n", "d")
         view = discretize(table, GranulationScheme({"v": 4}))
         assert list(view.codes_for("v")) == [0, 0]
+
+    def test_bits_beyond_int64_missing_bin_rejected(self, toy8):
+        with pytest.raises(DataError, match="exceeds 62"):
+            discretize(toy8, GranulationScheme({"a2": 63}))
+        codes = discretize(toy8, GranulationScheme({"a2": 62})).codes_for("a2")
+        assert codes[0] == 0 and codes[-1] == 2**62 - 1
 
     def test_scheme_rejects_categorical_and_unknown(self, toy8):
         with pytest.raises(DataError):
@@ -137,6 +153,15 @@ class TestPartitionBy:
         with pytest.raises(DataError):
             partition_by(view, ["zz"])
 
+    def test_key_overflow_keeps_blocks_apart(self):
+        # at 62 bits, block id 4 times 2**62 wraps to 0 in int64, so rows 0
+        # and 4 (same b code, different a) would share a key
+        tiny = 2.0 ** -60
+        table = load_table(f"a,b,d\nc0,{tiny!r},x\nc1,1,y\nc2,1,y\nc3,1,y\nc4,{tiny!r},y\n",
+                           "d")
+        view = discretize(table, GranulationScheme({"b": 62}))
+        assert partition_by(view, ["a", "b"]).block_count == 5
+
     def test_determinism(self, toy8):
         view = discretize(toy8, GranulationScheme({"a2": 2}))
         p1 = partition_by(view, ["a1", "a2"])
@@ -182,3 +207,19 @@ def test_bit_refinement_property(seed, bits):
     coarse = partition_by(discretize(table, GranulationScheme({a: bits for a in numeric})), attrs)
     fine = partition_by(discretize(table, GranulationScheme({a: bits + 1 for a in numeric})), attrs)
     assert fine.refines(coarse)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fine=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+       merge=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       split=st.booleans())
+def test_refines_matches_loop_oracle(fine, merge, split):
+    """Coarsen by merging fine blocks; optionally split one object off to break refinement."""
+    coarse = [merge[b] for b in fine]
+    if split:
+        coarse[len(coarse) // 2] = 4
+    p_fine = Partition.from_labels(fine)
+    p_coarse = Partition.from_labels(coarse)
+    for a, b in ((p_fine, p_coarse), (p_coarse, p_fine)):
+        assert a.refines(b) == refines_by_loop(a, b)
+    assert p_fine.refines(Partition.single_block(p_fine.n + 1)) is False
