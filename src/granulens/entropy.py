@@ -64,20 +64,24 @@ def joint(labels_x: Sequence, labels_y: Sequence) -> float:
     return shannon(Distribution.from_tokens(zip(labels_x, labels_y)))
 
 
-def _block_entropies(partition: Partition, labels: Sequence) -> tuple[np.ndarray, np.ndarray, int]:
-    """(block sizes, per-block decision entropy, class count), indexed by block id."""
-    counts = _label_matrix(partition, labels)
+def _block_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(block sizes, per-block decision entropy) of a (block x class) count matrix."""
     sizes = counts.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         p = counts / sizes[:, None]
         terms = np.where(counts > 0, -p * np.log2(p), 0.0)
-    return sizes, terms.sum(axis=1), counts.shape[1]
+    return sizes, terms.sum(axis=1)
+
+
+def _conditional_bits(counts: np.ndarray, n: int) -> float:
+    """H(D | P) = sum over blocks of (|B|/|U|) * H(D in B), from the count matrix."""
+    sizes, block_h = _block_entropies(counts)
+    return float(np.dot(sizes / n, block_h))
 
 
 def conditional(labels: Sequence, given: Partition) -> float:
     """H(labels | partition) = sum over blocks of (|B|/|U|) * H(labels in B)."""
-    sizes, block_h, _ = _block_entropies(given, labels)
-    return float(np.dot(sizes / given.n, block_h))
+    return _conditional_bits(_label_matrix(given, labels), given.n)
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,9 @@ def granular_entropy(partition: Partition, decision_labels: Sequence) -> Granula
     contribute nothing and each mixed block at most log2(k). Both vanish
     together, which ties the entropy channel to the boundary region.
     """
-    sizes, block_h, k = _block_entropies(partition, decision_labels)
+    counts = _label_matrix(partition, decision_labels)
+    sizes, block_h = _block_entropies(counts)
+    k = counts.shape[1]
     weights = sizes / partition.n
     per_block = list(zip(range(partition.block_count), weights.tolist(), block_h.tolist()))
     conditional_bits = float(np.dot(weights, block_h))

@@ -14,8 +14,11 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DataError, UniverseMismatchError
-from .table import InformationTable, Partition, decode_text
+from .reader import convert_cells, decode_text, line_of, read_columns
+from .table import InformationTable, Partition
 from .entropy import granular_entropy
 
 _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
@@ -62,7 +65,9 @@ def load_run(csv_data: bytes | str, table: InformationTable,
     """Parse a model-run CSV and validate it covers the table's universe.
 
     An optional first line ``# run_id=<text> meta=<text>`` overrides the
-    run id. object_index values must be exactly 0..n-1 in any order.
+    run id. The header is ``object_index,predicted[,granule]``.
+    object_index values must be exactly 0..n-1 in any order. An error
+    names the first faulty row in file order.
     """
     meta = ""
     lines = decode_text(csv_data).splitlines()
@@ -72,42 +77,48 @@ def load_run(csv_data: bytes | str, table: InformationTable,
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
         lines = lines[1:]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
+    records = csv.reader(io.StringIO("\n".join(lines)))
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise DataError("empty run file") from None
     header = [h.strip() for h in header]
     if header[:2] != ["object_index", "predicted"]:
         raise DataError("run header must start with object_index,predicted")
-    has_granule = len(header) > 2 and header[2] == "granule"
+    extra = header[3:] if header[2:3] == ["granule"] else header[2:]
+    if extra:
+        raise DataError(f"unexpected run column {extra[0]!r}: "
+                        "the header is object_index,predicted[,granule]")
 
     n = table.n
-    predicted: list = [None] * n
-    granule: list = [None] * n
-    seen = set()
-    count = 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"ragged run row at line {lineno}")
-        try:
-            idx = int(row[0])
-        except ValueError:
-            raise DataError(f"non-integer object_index {row[0]!r} at line {lineno}") from None
-        if not 0 <= idx < n:
-            raise DataError(f"object_index {idx} out of range 0..{n - 1}")
-        if idx in seen:
-            raise DataError(f"duplicate object_index {idx}")
-        seen.add(idx)
-        predicted[idx] = row[1]
-        if has_granule:
-            granule[idx] = row[2]
-        count += 1
-    if count != n:
-        raise DataError(f"run row count {count} != universe size {n}")
-    return ModelRun(run_id, predicted, granule if has_granule else None, meta)
+    cells, blanks, ragged = read_columns(records, len(header))
+    values, bad = convert_cells(int, cells[0])
+    try:
+        index = np.array(values, dtype=np.int64)
+    except OverflowError:  # beyond int64, so out of range
+        index = np.array([v if 0 <= v < n else -1 for v in values], dtype=np.int64)
+    outside = np.flatnonzero((index < 0) | (index >= n))
+    valid = int(outside[0]) if len(outside) else len(index)
+    if np.bincount(index[:valid], minlength=n).max() > 1:
+        _, first = np.unique(index[:valid], return_index=True)
+        repeat = np.ones(valid, dtype=bool)
+        repeat[first] = False
+        raise DataError(f"duplicate object_index {index[repeat.argmax()]}")
+    if valid < len(index):
+        raise DataError(f"object_index {values[valid]} out of range 0..{n - 1}")
+    if bad is not None:
+        raise DataError(f"non-integer object_index {cells[0][bad]!r} "
+                        f"at line {line_of(bad, blanks)}")
+    if ragged is not None:
+        raise DataError(f"ragged run row at line {ragged[0]}")
+    if len(index) != n:
+        raise DataError(f"run row count {len(index)} != universe size {n}")
+    row_of = np.empty(n, dtype=np.int64)
+    row_of[index] = np.arange(n)
+    rows = row_of.tolist()
+    predicted = list(map(cells[1].__getitem__, rows))
+    granule = list(map(cells[2].__getitem__, rows)) if len(cells) == 3 else None
+    return ModelRun(run_id, predicted, granule, meta)
 
 
 def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:

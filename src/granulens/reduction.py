@@ -9,8 +9,8 @@ from typing import Sequence
 
 from .errors import DataError
 from .table import DiscreteView, factorize, partition_by
-from .rough import dependency
-from .entropy import conditional, shannon, Distribution
+from .rough import _label_matrix, _positive_count, dependency
+from .entropy import _conditional_bits, conditional, shannon, Distribution
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,9 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
             if name in selected:
                 continue
             part = partition_by(view, selected + [name])
-            key = (-dependency(part, labels), conditional(labels, part))
+            counts = _label_matrix(part, labels)  # gamma and H(D|P) share one count
+            key = (-Fraction(_positive_count(counts), part.n),
+                   _conditional_bits(counts, part.n))
             if best is None or key < best[0]:
                 best = (key, name)
         (neg_gamma, cond_bits), name = best

@@ -91,12 +91,16 @@ def _label_matrix(partition: Partition, labels: Sequence) -> np.ndarray:
     return counts.reshape(partition.block_count, k)
 
 
-def region_fractions(partition: Partition, labels: Sequence) -> tuple[Fraction, Fraction]:
-    """(gamma, boundary_fraction) without materializing the region sets."""
-    counts = _label_matrix(partition, labels)
+def _positive_count(counts: np.ndarray) -> int:
+    """|POS|: the objects in blocks whose count row holds a single class."""
     sizes = counts.sum(axis=1)
     pure = (counts == sizes[:, None]).any(axis=1)
-    pos = int(sizes[pure].sum())
+    return int(sizes[pure].sum())
+
+
+def region_fractions(partition: Partition, labels: Sequence) -> tuple[Fraction, Fraction]:
+    """(gamma, boundary_fraction) without materializing the region sets."""
+    pos = _positive_count(_label_matrix(partition, labels))
     n = partition.n
     return Fraction(pos, n), Fraction(n - pos, n)
 

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError
+from .reader import convert_cells, decode_text, line_of, read_columns
 
 
 class _Missing:
@@ -33,6 +35,7 @@ MISSING = _Missing()
 
 #: tokens in a CSV cell that denote a missing value
 _MISSING_TOKENS = ("", "?")
+_AS_MISSING = dict.fromkeys(_MISSING_TOKENS, MISSING)
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,10 @@ class InformationTable:
         for spec in self.attributes:
             col = columns[spec.name]
             if spec.kind == "numeric":
-                self._columns[spec.name] = np.asarray(
-                    [np.nan if v is MISSING else float(v) for v in col], dtype=np.float64)
+                values, bad = _float_column(col, (MISSING,))
+                if bad is not None:
+                    raise _unparsable(spec.name, bad, col[bad])
+                self._columns[spec.name] = values
             else:
                 self._columns[spec.name] = list(col)
 
@@ -118,54 +123,71 @@ class InformationTable:
     @cached_property
     def decision_codes(self) -> np.ndarray:
         """Decision classes as first-occurrence integer codes, factorized once."""
-        return factorize(self.decision_labels)
+        codes = factorize(self.decision_labels)
+        codes.flags.writeable = False  # shared by every caller
+        return codes
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, Sequence], decision: str,
                      kinds: Mapping[str, str] | None = None,
                      table_id: str = "") -> "InformationTable":
-        """Build a table from in-memory columns, inferring kinds like the CSV loader."""
+        """Build a table from in-memory columns, inferring kinds like the CSV loader.
+
+        MISSING and NaN are missing values; an infinity in a numeric column
+        is a DataError. Integer and float ndarrays are copied in one step.
+        """
         kinds = dict(kinds or {})
-        specs = []
+        specs, typed = [], {}
         for name, col in columns.items():
-            if name == decision:
-                kind = "categorical"
-            else:
-                kind = kinds.get(name) or _infer_kind(col)
-            rng = _observed_range(col) if kind == "numeric" else None
-            specs.append(AttributeSpec(name, kind, rng))
-        return cls(specs, columns, decision, table_id=table_id)
+            kind = "categorical" if name == decision else (kinds.get(name) or None)
+            spec, values = _typed_column(name, col, kind, (MISSING,), "row {}".format)
+            specs.append(spec)
+            typed[name] = col if values is None else values
+        return cls(specs, typed, decision, table_id=table_id)
 
 
-def _infer_kind(col: Sequence) -> str:
-    saw_value = False
-    for v in col:
-        if v is MISSING:
-            continue
-        saw_value = True
-        if isinstance(v, str):
-            try:
-                float(v)
-            except ValueError:
-                return "categorical"
-        elif not isinstance(v, (int, float, np.floating, np.integer)):
-            return "categorical"
-    return "numeric" if saw_value else "categorical"
+def _unparsable(name: str, row: int, cell) -> DataError:
+    return DataError(f"column {name!r} declared numeric but row {row} "
+                     f"has unparsable cell {cell!r}")
 
 
-def _observed_range(col: Sequence) -> tuple[float, float] | None:
-    vals = [float(v) for v in col if v is not MISSING]
-    if not vals:
-        return None
-    return (min(vals), max(vals))
+def _float_column(cells: Sequence, missing: tuple) -> tuple[np.ndarray, int | None]:
+    """Cells as float64 with NaN for missing, and the first unparsable row or None."""
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu":
+        return cells.astype(np.float64), None
+    values, bad = convert_cells(float, cells, missing, math.nan)
+    return np.array(values, dtype=np.float64), bad
 
 
-def decode_text(data: bytes | str) -> str:
-    """Decode CSV bytes as UTF-8, dropping a leading byte-order mark."""
-    try:
-        return data.decode("utf-8-sig") if isinstance(data, bytes) else data
-    except UnicodeDecodeError as exc:
-        raise DataError(f"input is not valid UTF-8: {exc}") from None
+def _typed_column(name: str, cells: Sequence, kind: str | None, missing: tuple,
+                  where: Callable[[int], str]) -> tuple[AttributeSpec, np.ndarray | None]:
+    """Spec and float values of one column; values is None unless it is numeric.
+
+    ``kind`` None infers it: numeric iff some cell is not in ``missing``
+    and every such cell parses with float(). NaN is missing. An infinity
+    in a numeric column is a DataError; ``where(row)`` names its place.
+    The range takes the first minimal and maximal values in row order, as
+    Python's min and max do, so a zero keeps the sign it has first.
+    """
+    if kind not in (None, "numeric"):
+        return AttributeSpec(name, kind), None
+    values, bad = _float_column(cells, missing)
+    if bad is not None and kind is None:
+        return AttributeSpec(name, "categorical"), None
+    infinite = np.flatnonzero(np.isinf(values))
+    if len(infinite):
+        row = int(infinite[0])
+        raise DataError(f"column {name!r} has non-finite value {values[row]} "
+                        f"at {where(row)}")
+    if bad is not None:
+        raise _unparsable(name, bad, cells[bad])
+    present = values[~np.isnan(values)]
+    if not len(present):
+        if kind is None and all(cell in missing for cell in cells):
+            return AttributeSpec(name, "categorical"), None
+        return AttributeSpec(name, "numeric"), values
+    rng = (float(present[present.argmin()]), float(present[present.argmax()]))
+    return AttributeSpec(name, "numeric", rng), values
 
 
 def load_table(csv_data: bytes | str, decision_name: str,
@@ -173,13 +195,16 @@ def load_table(csv_data: bytes | str, decision_name: str,
                table_id: str = "") -> InformationTable:
     """Parse a header-first CSV into an InformationTable.
 
-    A column is numeric iff every non-missing cell parses as a real number,
-    unless ``schema_hints`` overrides its kind. Empty cells and ``?`` are
-    MISSING. The decision column must be total and is always categorical.
+    A column is numeric iff it has a non-missing cell and every such cell
+    parses as a real number, unless ``schema_hints`` overrides its kind.
+    Empty cells and ``?`` are MISSING; in a numeric column so is a NaN
+    cell, and an infinite one is a DataError. The decision column must be
+    total and is always categorical. Each numeric cell is parsed by one
+    float() call.
     """
-    reader = csv.reader(io.StringIO(decode_text(csv_data)))
+    records = csv.reader(io.StringIO(decode_text(csv_data)))
     try:
-        header = next(reader)
+        header = next(records)
     except StopIteration:
         raise DataError("empty file") from None
     if len(set(header)) != len(header):
@@ -187,15 +212,11 @@ def load_table(csv_data: bytes | str, decision_name: str,
     if decision_name not in header:
         raise DataError(f"missing decision column {decision_name!r}")
 
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise DataError(f"ragged row at line {lineno}: "
-                            f"expected {len(header)} cells, got {len(row)}")
-        rows.append(row)
-    if not rows:
+    raw, blanks, ragged = read_columns(records, len(header))
+    if ragged is not None:
+        raise DataError(f"ragged row at line {ragged[0]}: "
+                        f"expected {len(header)} cells, got {ragged[1]}")
+    if not raw[0]:
         raise DataError("empty file: no data rows")
 
     hints = dict(schema_hints or {})
@@ -203,46 +224,36 @@ def load_table(csv_data: bytes | str, decision_name: str,
         if name not in header:
             raise DataError(f"schema hint for unknown column {name!r}")
 
-    columns: dict[str, list] = {name: [] for name in header}
-    for row in rows:
-        for name, cell in zip(header, row):
-            cell = cell.strip()
-            columns[name].append(MISSING if cell in _MISSING_TOKENS else cell)
-
-    specs = []
-    for name in header:
-        col = columns[name]
+    specs, columns = [], {}
+    for name, cells in zip(header, raw):
+        cells = list(map(str.strip, cells))
+        kind = None
         if name == decision_name:
             kind = "categorical"
         elif name in hints:
             kind = hints[name]
             if kind not in ("categorical", "numeric"):
                 raise DataError(f"invalid kind {kind!r} for column {name!r}")
-        else:
-            kind = _infer_kind(col)
-        if kind == "numeric":
-            parsed = []
-            for i, v in enumerate(col):
-                if v is MISSING:
-                    parsed.append(MISSING)
-                    continue
-                try:
-                    parsed.append(float(v))
-                except (TypeError, ValueError):
-                    raise DataError(
-                        f"column {name!r} declared numeric but row {i} "
-                        f"has unparsable cell {v!r}") from None
-            columns[name] = parsed
-            specs.append(AttributeSpec(name, "numeric", _observed_range(parsed)))
-        else:
-            specs.append(AttributeSpec(name, "categorical"))
+        spec, values = _typed_column(
+            name, cells, kind, _MISSING_TOKENS,
+            lambda row: f"line {line_of(row, blanks)}")
+        specs.append(spec)
+        # a missing token maps to MISSING, any other cell to itself
+        columns[name] = (list(map(_AS_MISSING.get, cells, cells))
+                         if values is None else values)
     return InformationTable(specs, columns, decision_name, table_id=table_id)
 
 
 def factorize(tokens: Iterable) -> np.ndarray:
-    """Integer codes for a token sequence, ordinals by first occurrence."""
+    """Integer codes for a token sequence, ordinals by first occurrence.
+
+    An integer ndarray that already holds such codes is returned as int64
+    without a copy.
+    """
     if (isinstance(tokens, np.ndarray) and tokens.ndim == 1
             and np.issubdtype(tokens.dtype, np.integer)):
+        if _first_occurrence_coded(tokens):
+            return tokens.astype(np.int64, copy=False)
         _, inverse = np.unique(tokens, return_inverse=True)
         return _first_occurrence_ids(inverse.astype(np.int64, copy=False))
     seen: dict = {}
@@ -354,6 +365,13 @@ class Partition:
     @classmethod
     def single_block(cls, n: int) -> "Partition":
         return cls(np.zeros(n, dtype=np.int64))
+
+
+def _first_occurrence_coded(codes: np.ndarray) -> bool:
+    """True iff codes start at 0 and each is at most one above all before it."""
+    if not len(codes) or codes[0] != 0 or codes.min() < 0:
+        return False
+    return bool((codes[1:] <= np.maximum.accumulate(codes)[:-1] + 1).all())
 
 
 def _first_occurrence_ids(group_ids: np.ndarray) -> np.ndarray:

@@ -4,18 +4,22 @@ The oracles here deliberately stay brute-force double loops over the
 universe so they remain independent of the library's vectorized paths.
 The sweep oracle rebuilds every level from scratch instead of refining.
 The reduct and run-evaluation oracles count on the decision's token labels
-and build a separate partition for each metric.
+and build a separate partition for each metric. The CSV loader oracles
+walk the input row by row and cell by cell.
 """
 
 import csv
 import io
 import random
+import re
 
 import numpy as np
 
-from granulens import (DataError, EvalReport, GranulationScheme, Partition,
+from granulens import (MISSING, AttributeSpec, DataError, EvalReport,
+                       GranulationScheme, InformationTable, ModelRun, Partition,
                        ReductResult, SweepPoint, conditional, dependency,
                        discretize, granular_entropy, load_table, partition_by)
+from granulens.reader import decode_text
 from granulens.reduction import ReductStep
 from granulens.rough import region_fractions
 
@@ -232,3 +236,142 @@ def evaluate_run_on_tokens(table, run):
     gamma, bf = region_fractions(part, truth)
     return EvalReport(run.run_id, correct / table.n, report.conditional_bits,
                       float(bf), float(gamma), part.block_count, fallback)
+
+
+def _infer_kind(col):
+    saw_value = False
+    for v in col:
+        if v is MISSING:
+            continue
+        saw_value = True
+        if isinstance(v, str):
+            try:
+                float(v)
+            except ValueError:
+                return "categorical"
+        elif not isinstance(v, (int, float, np.floating, np.integer)):
+            return "categorical"
+    return "numeric" if saw_value else "categorical"
+
+
+def _observed_range(col):
+    vals = [float(v) for v in col if v is not MISSING]
+    if not vals:
+        return None
+    return (min(vals), max(vals))
+
+
+def load_table_by_rows(csv_data, decision_name, schema_hints=None, table_id=""):
+    """load_table row by row: infer, parse and range each column cell by cell."""
+    reader = csv.reader(io.StringIO(decode_text(csv_data)))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty file") from None
+    if len(set(header)) != len(header):
+        raise DataError("duplicate column names in header")
+    if decision_name not in header:
+        raise DataError(f"missing decision column {decision_name!r}")
+
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"ragged row at line {lineno}: "
+                            f"expected {len(header)} cells, got {len(row)}")
+        rows.append(row)
+    if not rows:
+        raise DataError("empty file: no data rows")
+
+    hints = dict(schema_hints or {})
+    for name in hints:
+        if name not in header:
+            raise DataError(f"schema hint for unknown column {name!r}")
+
+    columns = {name: [] for name in header}
+    for row in rows:
+        for name, cell in zip(header, row):
+            cell = cell.strip()
+            columns[name].append(MISSING if cell in ("", "?") else cell)
+
+    specs = []
+    for name in header:
+        col = columns[name]
+        if name == decision_name:
+            kind = "categorical"
+        elif name in hints:
+            kind = hints[name]
+            if kind not in ("categorical", "numeric"):
+                raise DataError(f"invalid kind {kind!r} for column {name!r}")
+        else:
+            kind = _infer_kind(col)
+        if kind == "numeric":
+            parsed = []
+            for i, v in enumerate(col):
+                if v is MISSING:
+                    parsed.append(MISSING)
+                    continue
+                try:
+                    parsed.append(float(v))
+                except (TypeError, ValueError):
+                    raise DataError(
+                        f"column {name!r} declared numeric but row {i} "
+                        f"has unparsable cell {v!r}") from None
+            columns[name] = np.asarray(
+                [np.nan if v is MISSING else v for v in parsed], dtype=np.float64)
+            specs.append(AttributeSpec(name, "numeric", _observed_range(parsed)))
+        else:
+            specs.append(AttributeSpec(name, "categorical"))
+    return InformationTable(specs, columns, decision_name, table_id=table_id)
+
+
+_DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
+
+
+def load_run_by_rows(csv_data, table, run_id="run"):
+    """load_run row by row: parse, range-check and place each row in turn."""
+    meta = ""
+    lines = decode_text(csv_data).splitlines()
+    if lines and lines[0].lstrip().startswith("#"):
+        m = _DIRECTIVE.match(lines[0].strip())
+        if m:
+            run_id = m.group(1)
+            meta = (m.group(2) or "").strip()
+        lines = lines[1:]
+    reader = csv.reader(io.StringIO("\n".join(lines)))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty run file") from None
+    header = [h.strip() for h in header]
+    if header[:2] != ["object_index", "predicted"]:
+        raise DataError("run header must start with object_index,predicted")
+    has_granule = len(header) > 2 and header[2] == "granule"
+
+    n = table.n
+    predicted = [None] * n
+    granule = [None] * n
+    seen = set()
+    count = 0
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"ragged run row at line {lineno}")
+        try:
+            idx = int(row[0])
+        except ValueError:
+            raise DataError(f"non-integer object_index {row[0]!r} at line {lineno}") from None
+        if not 0 <= idx < n:
+            raise DataError(f"object_index {idx} out of range 0..{n - 1}")
+        if idx in seen:
+            raise DataError(f"duplicate object_index {idx}")
+        seen.add(idx)
+        predicted[idx] = row[1]
+        if has_granule:
+            granule[idx] = row[2]
+        count += 1
+    if count != n:
+        raise DataError(f"run row count {count} != universe size {n}")
+    return ModelRun(run_id, predicted, granule if has_granule else None, meta)

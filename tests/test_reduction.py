@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import granulens.entropy
 import granulens.reduction
+import granulens.rough
 
 from granulens import (
     DataError,
@@ -180,3 +182,23 @@ def test_one_partition_per_greedy_candidate(monkeypatch):
         # prune check per pick, and the final gamma
         assert len(calls) == 2 + candidates + steps + 1
     assert searched >= 10
+
+
+def test_one_count_pass_per_greedy_partition(monkeypatch):
+    """Each candidate's gamma and H(D|P) come from a single (block x class) count."""
+    rng = random.Random(5)
+    orig_partition = granulens.reduction.partition_by
+    orig_count = granulens.rough._label_matrix
+    partitions, counts = [], []
+    monkeypatch.setattr(granulens.reduction, "partition_by",
+                        lambda view, attrs: partitions.append(1) or orig_partition(view, attrs))
+    for module in (granulens.rough, granulens.entropy, granulens.reduction):
+        monkeypatch.setattr(module, "_label_matrix",
+                            lambda part, labels: counts.append(1) or orig_count(part, labels))
+    for _ in range(10):
+        table = _consistent_table(rng)
+        view = discretize(table, GranulationScheme())
+        partitions.clear()
+        counts.clear()
+        greedy_reduct(view, table.decision_labels)
+        assert len(counts) == len(partitions)
