@@ -1,23 +1,24 @@
 """Shannon, joint, and conditional entropy; granule-wise entropy reports.
 
 Entropy is measured in bits (log base 2) with the 0*log(0) = 0 convention.
-Per-block terms are accumulated in block-id order so results are
-deterministic regardless of any parallel evaluation upstream.
+H(D|P) is the correctly rounded sum (math.fsum) of its per-block terms,
+so it does not depend on block numbering, summation order or threads.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError, UniverseMismatchError
 from .table import Partition
-from .rough import _label_matrix, region_fractions
+from .rough import _label_matrix, _mixed, region_fractions
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ def _block_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _conditional_bits(counts: np.ndarray, n: int) -> float:
-    """H(D | P) = sum over blocks of (|B|/|U|) * H(D in B), from the count matrix."""
-    sizes, block_h = _block_entropies(counts)
-    return float(np.dot(sizes / n, block_h))
+    """H(D | P): math.fsum of (|B|/|U|) * H(D in B) over the mixed blocks (pure ones add 0)."""
+    sizes, block_h = _block_entropies(counts[_mixed(counts)])
+    return math.fsum((sizes / n * block_h).tolist())
 
 
 def conditional(labels: Sequence, given: Partition) -> float:
@@ -86,11 +87,22 @@ def conditional(labels: Sequence, given: Partition) -> float:
 
 @dataclass(frozen=True)
 class GranularEntropyReport:
-    per_block: list  # (block id, weight |B|/|U|, block entropy in bits)
     conditional_bits: float
     boundary_fraction: Fraction
     class_count: int
     normalized_conditional: float
+    counts: np.ndarray = field(repr=False, compare=False)  # (block x class) counts
+
+    @cached_property
+    def per_block(self) -> list:
+        """(block id, weight |B|/|U|, block entropy in bits) per block, built on first read."""
+        sizes, block_h = _block_entropies(self.counts)
+        return list(zip(range(len(sizes)), (sizes / sizes.sum()).tolist(), block_h.tolist()))
+
+    def __eq__(self, other):  # per_block takes part: block numbering matters
+        key = lambda r: (r.per_block, r.conditional_bits, r.boundary_fraction,
+                         r.class_count, r.normalized_conditional)
+        return isinstance(other, GranularEntropyReport) and key(self) == key(other)
 
 
 def granular_entropy(partition: Partition, decision_labels: Sequence) -> GranularEntropyReport:
@@ -101,12 +113,9 @@ def granular_entropy(partition: Partition, decision_labels: Sequence) -> Granula
     together, which ties the entropy channel to the boundary region.
     """
     counts = _label_matrix(partition, decision_labels)
-    sizes, block_h = _block_entropies(counts)
+    counts.flags.writeable = False  # per_block is built from it on first read
     k = counts.shape[1]
-    weights = sizes / partition.n
-    per_block = list(zip(range(partition.block_count), weights.tolist(), block_h.tolist()))
-    conditional_bits = float(np.dot(weights, block_h))
+    conditional_bits = _conditional_bits(counts, partition.n)
     _, boundary_fraction = region_fractions(partition, decision_labels)
     normalized = conditional_bits / math.log2(k) if k >= 2 else 0.0
-    return GranularEntropyReport(per_block, conditional_bits, boundary_fraction,
-                                 k, normalized)
+    return GranularEntropyReport(conditional_bits, boundary_fraction, k, normalized, counts)

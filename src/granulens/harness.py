@@ -7,8 +7,6 @@ granule column when present, otherwise from grouping equal predictions.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import re
 from dataclasses import dataclass
@@ -70,18 +68,17 @@ def load_run(csv_data: bytes | str, table: InformationTable,
     names the first faulty row in file order.
     """
     meta = ""
-    lines = decode_text(csv_data).splitlines()
-    if lines and lines[0].lstrip().startswith("#"):
-        m = _DIRECTIVE.match(lines[0].strip())
+    text = decode_text(csv_data)
+    first = re.match(r"[^\r\n]*(?:\r\n?|\n)?", text).group()  # splitlines breaks at U+2028
+    if first.lstrip().startswith("#"):
+        m = _DIRECTIVE.match(first.strip())
         if m:
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
-        lines = lines[1:]
-    records = csv.reader(io.StringIO("\n".join(lines)))
-    try:
-        header = next(records)
-    except StopIteration:
-        raise DataError("empty run file") from None
+        text = text[len(first):]
+    header, cells, blanks, ragged = read_columns(text)
+    if header is None:
+        raise DataError("empty run file")
     header = [h.strip() for h in header]
     if header[:2] != ["object_index", "predicted"]:
         raise DataError("run header must start with object_index,predicted")
@@ -91,7 +88,6 @@ def load_run(csv_data: bytes | str, table: InformationTable,
                         "the header is object_index,predicted[,granule]")
 
     n = table.n
-    cells, blanks, ragged = read_columns(records, len(header))
     values, bad = convert_cells(int, cells[0])
     try:
         index = np.array(values, dtype=np.int64)

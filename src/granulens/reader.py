@@ -7,8 +7,10 @@ over rows or cells in Python.
 
 from __future__ import annotations
 
+import csv
+import io
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import DataError
 
@@ -30,37 +32,48 @@ def decode_text(data: bytes | str) -> str:
         raise DataError(f"input is not valid UTF-8: {exc}") from None
 
 
-def read_columns(records: Iterator[list[str]], width: int
-                 ) -> tuple[list[list[str]], list[int], tuple[int, int] | None]:
-    """Transpose CSV records (after the header) into one list of cells per column.
+def read_columns(text: str) -> tuple[list[str] | None, list[list[str]], list[int],
+                                     tuple[int, int] | None]:
+    """Read CSV text into its header and one list of cells per column.
 
-    Lines count records, the header being line 1. Blank records are
-    skipped. Reading stops at the first record without ``width`` cells.
-    Returns the columns, the lines of the skipped blank records, and
-    (line, cell count) of that ragged record, or None.
+    ``\\r``, ``\\n`` and ``\\r\\n`` end records. Lines count records (a quoted
+    cell may span several), the header being line 1. Blank records are
+    skipped, and reading stops at the first record whose cell count differs
+    from the header's. Returns the header (None for text without records), the
+    columns, the blank records' lines, and (line, cell count) of that ragged
+    record or None. A DataError names the line of a record the csv module
+    rejects (a field over its size limit, say).
     """
-    columns: list[list[str]] = [[] for _ in range(width)]
-    blanks: list[int] = []
-    line = 2
-    while chunk := list(islice(records, _CHUNK)):
-        start, line = line, line + len(chunk)
-        ragged = None
-        if set(map(len, chunk)) != {width}:
-            rows = []
-            for lineno, row in enumerate(chunk, start=start):
-                if not row:
-                    blanks.append(lineno)
-                elif len(row) != width:
-                    ragged = (lineno, len(row))
-                    break
-                else:
-                    rows.append(row)
-            chunk = rows
-        for column, cells in zip(columns, zip(*chunk)):
-            column.extend(cells)
-        if ragged is not None:
-            return columns, blanks, ragged
-    return columns, blanks, None
+    records = csv.reader(io.StringIO(text, newline=""))
+    line, chunk = 1, []  # chunk[0]'s line; list.extend keeps what it read before a raise
+    try:
+        header = next(records, None)
+        width = len(header or ())
+        columns: list[list[str]] = [[] for _ in range(width)]
+        blanks: list[int] = []
+        line = 2
+        while chunk.extend(islice(records, _CHUNK)) or chunk:
+            start, line = line, line + len(chunk)
+            ragged = None
+            if set(map(len, chunk)) != {width}:
+                rows = []
+                for lineno, row in enumerate(chunk, start=start):
+                    if not row:
+                        blanks.append(lineno)
+                    elif len(row) != width:
+                        ragged = (lineno, len(row))
+                        break
+                    else:
+                        rows.append(row)
+                chunk = rows
+            for column, cells in zip(columns, zip(*chunk)):
+                column.extend(cells)
+            if ragged is not None:
+                return header, columns, blanks, ragged
+            chunk = []
+    except csv.Error as exc:
+        raise DataError(f"unreadable CSV record at line {line + len(chunk)}: {exc}") from None
+    return header, columns, blanks, None
 
 
 def line_of(row: int, blanks: list[int]) -> int:

@@ -9,8 +9,6 @@ categorical attributes always granulate by identity.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -202,17 +200,13 @@ def load_table(csv_data: bytes | str, decision_name: str,
     total and is always categorical. Each numeric cell is parsed by one
     float() call.
     """
-    records = csv.reader(io.StringIO(decode_text(csv_data)))
-    try:
-        header = next(records)
-    except StopIteration:
-        raise DataError("empty file") from None
+    header, raw, blanks, ragged = read_columns(decode_text(csv_data))
+    if header is None:
+        raise DataError("empty file")
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
     if decision_name not in header:
         raise DataError(f"missing decision column {decision_name!r}")
-
-    raw, blanks, ragged = read_columns(records, len(header))
     if ragged is not None:
         raise DataError(f"ragged row at line {ragged[0]}: "
                         f"expected {len(header)} cells, got {ragged[1]}")

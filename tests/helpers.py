@@ -4,8 +4,9 @@ The oracles here deliberately stay brute-force double loops over the
 universe so they remain independent of the library's vectorized paths.
 The sweep oracle rebuilds every level from scratch instead of refining.
 The reduct and run-evaluation oracles count on the decision's token labels
-and build a separate partition for each metric. The CSV loader oracles
-walk the input row by row and cell by cell.
+and build a separate partition for each metric. The granular-entropy
+oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
+CSV loader oracles walk the input row by row and cell by cell.
 """
 
 import csv
@@ -21,7 +22,7 @@ from granulens import (MISSING, AttributeSpec, DataError, EvalReport,
                        discretize, granular_entropy, load_table, partition_by)
 from granulens.reader import decode_text
 from granulens.reduction import ReductStep
-from granulens.rough import region_fractions
+from granulens.rough import _label_matrix, region_fractions
 
 
 def random_table(rng: random.Random, max_n=32, max_attrs=5, max_classes=4,
@@ -238,6 +239,19 @@ def evaluate_run_on_tokens(table, run):
                       float(bf), float(gamma), part.block_count, fallback)
 
 
+def granular_entropy_by_dot(partition, labels):
+    """(per_block, H(D|P)) as granular_entropy built them eagerly, H by np.dot over all blocks."""
+    counts = _label_matrix(partition, labels)
+    sizes = counts.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / sizes[:, None]
+        terms = np.where(counts > 0, -p * np.log2(p), 0.0)
+    block_h = terms.sum(axis=1)
+    weights = sizes / partition.n
+    per_block = list(zip(range(partition.block_count), weights.tolist(), block_h.tolist()))
+    return per_block, float(np.dot(weights, block_h))
+
+
 def _infer_kind(col):
     saw_value = False
     for v in col:
@@ -332,14 +346,15 @@ _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
 def load_run_by_rows(csv_data, table, run_id="run"):
     """load_run row by row: parse, range-check and place each row in turn."""
     meta = ""
-    lines = decode_text(csv_data).splitlines()
-    if lines and lines[0].lstrip().startswith("#"):
-        m = _DIRECTIVE.match(lines[0].strip())
+    text = decode_text(csv_data)
+    first = re.match(r"[^\r\n]*(?:\r\n?|\n)?", text).group()
+    if first.lstrip().startswith("#"):
+        m = _DIRECTIVE.match(first.strip())
         if m:
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
-        lines = lines[1:]
-    reader = csv.reader(io.StringIO("\n".join(lines)))
+        text = text[len(first):]
+    reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
     except StopIteration:

@@ -1,25 +1,38 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import granulens
 from granulens import (
     DataError,
     Distribution,
     GranulationScheme,
+    ModelRun,
     Partition,
     UniverseMismatchError,
     conditional,
     discretize,
+    entropy_rank,
+    evaluate_run,
     granular_entropy,
+    greedy_reduct,
     joint,
     partition_by,
     regions,
     shannon,
+    sweep,
 )
+from granulens.cli import run_cli
 
-from helpers import random_attr_subset, random_table, random_view
+from helpers import (granular_entropy_by_dot, random_attr_subset, random_table,
+                     random_view)
 
 TOL = 1e-9
 
@@ -142,3 +155,109 @@ def test_refinement_monotonicity_and_range(seed):
     support = len([c for c in dist.counts.values() if c > 0])
     h = shannon(dist)
     assert -TOL <= h <= math.log2(support) + TOL if support > 1 else h == 0.0
+
+
+def partition_with_labels(seed):
+    """A partition of up to 400 objects and k-class labels; some blocks are pure."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 400)
+    blocks = rng.randint(1, n)
+    block_of = [rng.randrange(blocks) for _ in range(n)]
+    k = rng.randint(1, 4)
+    pure = rng.random()
+    block_class = [rng.randrange(k) for _ in range(blocks)]
+    labels = [block_class[b] if rng.random() < pure else rng.randrange(k) for b in block_of]
+    return Partition.from_labels(block_of), [f"k{c}" for c in labels]
+
+
+class TestConditionalBitsSum:
+    """H(D|P) is math.fsum over the mixed blocks; np.dot is the old oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_matches_eager_oracle(self, seed):
+        part, labels = partition_with_labels(seed)
+        rep = granular_entropy(part, labels)
+        per_block, by_dot = granular_entropy_by_dot(part, labels)
+        assert rep.per_block == per_block
+        assert rep.conditional_bits == math.fsum(w * h for _, w, h in per_block)
+        assert abs(rep.conditional_bits - by_dot) <= 1e-12
+        assert conditional(labels, part) == rep.conditional_bits
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10**9))
+    def test_block_numbering_does_not_matter(self, seed):
+        part, labels = partition_with_labels(seed)
+        perm = list(range(part.block_count))
+        random.Random(seed).shuffle(perm)
+        renumbered = Partition(np.asarray(perm)[part.block_of])
+        h = granular_entropy(part, labels).conditional_bits
+        assert granular_entropy(renumbered, labels).conditional_bits == h
+        assert conditional(labels, renumbered) == h
+
+    @pytest.mark.parametrize("labels", [list("aabbbcdd"), ["k"] * 8])
+    def test_pure_partition_is_positive_zero(self, labels):
+        for part in (Partition.from_labels(labels), Partition.from_labels(range(8))):
+            h = granular_entropy(part, labels).conditional_bits
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+            assert math.copysign(1.0, conditional(labels, part)) == 1.0
+
+    def test_report_repr_and_equality(self, toy8):
+        part = partition_by(discretize(toy8, GranulationScheme()), ["a1"])
+        rep = granular_entropy(part, toy8.decision_labels)
+        assert "counts" not in repr(rep) and "per_block" not in repr(rep)
+        assert rep == granular_entropy(part, toy8.decision_labels)
+        # same scalars, blocks numbered in another order: unequal, as per_block differs
+        renumbered = Partition(np.array([2, 1, 0])[part.block_of])
+        other = granular_entropy(renumbered, toy8.decision_labels)
+        assert other.conditional_bits == rep.conditional_bits
+        assert other != rep
+
+    def test_report_counts_are_read_only(self, toy8):
+        part = partition_by(discretize(toy8, GranulationScheme()), ["a1"])
+        rep = granular_entropy(part, toy8.decision_labels)
+        with pytest.raises(ValueError, match="read-only"):
+            rep.counts[0, 0] += 1
+        assert rep.per_block == granular_entropy_by_dot(part, toy8.decision_labels)[0]
+
+
+def test_no_blas_call_on_any_entropy_path(monkeypatch, titanic, titanic_path, capsys):
+    def raiser(*args, **kwargs):
+        raise AssertionError("BLAS call")
+    for name in ("dot", "vdot", "inner"):
+        monkeypatch.setattr(np, name, raiser)
+    numeric = [a.name for a in titanic.condition_attributes]
+    curve = sweep(titanic, numeric, 0, 10)
+    assert curve.points[-1].conditional_bits <= curve.points[0].conditional_bits
+    view = discretize(titanic, GranulationScheme.uniform(titanic, 3))
+    assert greedy_reduct(view, titanic.decision_labels).selected
+    assert len(entropy_rank(view, titanic.decision_labels)) == len(numeric)
+    run = ModelRun("r", list(titanic.decision_labels),
+                   granule=[str(i % 7) for i in range(titanic.n)])
+    assert evaluate_run(titanic, run).model_conditional_bits > 0
+    assert run_cli(["entropy", str(titanic_path), "--decision", "Survived",
+                    "--attrs", "Pclass,Sex,Age", "--bits", "4"]) == 0
+    assert "conditional_bits=" in capsys.readouterr().out
+
+
+_BIG_PARTITION_H = """
+import numpy as np
+from granulens import Partition, granular_entropy
+rng = np.random.default_rng(0)
+blocks = 60_000
+block_of = np.concatenate([np.arange(blocks), rng.integers(0, blocks, 3 * blocks)])
+labels = rng.integers(0, 2, len(block_of))
+print(granular_entropy(Partition(block_of), labels).conditional_bits.hex())
+"""
+
+
+def test_conditional_bits_do_not_depend_on_blas_threads():
+    """A 60k-block, 2-class H(D|P) is bit-identical with 1 and 2 BLAS threads."""
+    src = str(pathlib.Path(granulens.__file__).resolve().parents[1])
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _BIG_PARTITION_H], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs

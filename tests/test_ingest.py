@@ -73,9 +73,9 @@ def table_inputs(draw):
 
 
 @st.composite
-def run_inputs(draw, n):
+def run_inputs(draw, n, word=WORD):
     rnd = draw(st.randoms(use_true_random=True))
-    rows = [[str(i), draw(WORD), draw(WORD)] for i in range(n)]
+    rows = [[str(i), draw(word), draw(word)] for i in range(n)]
     rows = draw(st.permutations(rows))
     while rnd.random() < 0.4:
         rows[rnd.randrange(n)][0] = draw(st.sampled_from(
@@ -260,3 +260,107 @@ def test_loading_makes_no_full_collection():
     assert gc.get_stats()[2]["collections"] == before
     assert table.n == 20_000 and all(len(r.predicted) == n for r in runs)
     assert not math.isnan(table.attribute("a0").observed_range[0])
+
+
+#: characters str.splitlines breaks at but csv treats as ordinary cell text
+LINE_BREAK_CHARS = ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _run_with_cell(column, value, directive=""):
+    rows = [[str(i), "0", f"g{i % 3}"] for i in range(8)]
+    rows[3][column] = value
+    return directive + "object_index,predicted,granule\n" + "".join(
+        ",".join(row) + "\n" for row in rows)
+
+
+class TestRunCellsKeepLineBreakCharacters:
+    @pytest.mark.parametrize("char", LINE_BREAK_CHARS)
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_cell_comes_back_unchanged(self, toy8, char, quoted, column):
+        value = f"p{char}x"
+        text = _run_with_cell(column, f'"{value}"' if quoted else value)
+        run = load_run(text, toy8)
+        assert (run.predicted if column == 1 else run.granule)[3] == value
+        assert load_run_by_rows(text, toy8) == run
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_directive_line_ending(self, toy8, ending):
+        text = _run_with_cell(1, "p\u2028x", directive=f"# run_id=r7 meta=m\x85n{ending}")
+        run = load_run(text, toy8, run_id="ignored")
+        assert (run.run_id, run.meta, run.predicted[3]) == ("r7", "m\x85n", "p\u2028x")
+        assert load_run_by_rows(text, toy8, run_id="ignored") == run
+
+    def test_cli_evaluates_run_with_line_break_cells(self, tmp_path, toy8_csv, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text(toy8_csv)
+        run = tmp_path / "r.csv"
+        text = _run_with_cell(2, '"g\x85y"', directive="# run_id=r7\r\n")
+        run.write_bytes(text.replace("0,0,g0\n", "0,0\x85,g0\n").encode())
+        assert run_cli(["evaluate", str(table), str(run), "--decision", "d"]) == 0
+        out = capsys.readouterr().out
+        assert "run r7: accuracy=0.250000000" in out and "blocks=4" in out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), run_inputs(n, st.sampled_from(["a", "b"] + LINE_BREAK_CHARS)))))
+def test_load_run_with_line_break_cells_matches_row_by_row_oracle(inputs):
+    n, text = inputs
+    table = InformationTable.from_columns({"d": [f"k{i % 2}" for i in range(n)]}, "d")
+    assert outcome(load_run, text, table) == outcome(load_run_by_rows, text, table)
+
+
+class TestCsvModuleErrors:
+    BIG = "x" * 131_073  # one past the csv module's default field size limit
+
+    @pytest.mark.parametrize("text, line", [(BIG + ",d\n1,p\n", 1),
+                                            ("a,d\n1,p\n" + BIG + ",q\n", 3),
+                                            ("a,d\n" + "1,p\n" * 300 + BIG + ",q\n", 302)])
+    def test_oversized_table_field_is_data_error(self, text, line):
+        with pytest.raises(DataError, match=f"line {line}: field larger than field limit"):
+            load_table(text, "d")
+
+    def test_oversized_run_field_is_data_error(self, toy8):
+        with pytest.raises(DataError, match="line 5: field larger than field limit"):
+            load_run(_run_with_cell(1, self.BIG), toy8)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_lines_count_records_after_a_multiline_cell(self, toy8, eol):
+        # header, a quoted cell over three physical lines, a blank record, a row
+        head = eol.join(["a,d", f'"x{eol}{eol}y",p', "", "1,q", ""])
+        with pytest.raises(DataError, match="line 5: field larger than field limit"):
+            load_table(head + self.BIG + ",r" + eol, "d")
+        with pytest.raises(DataError, match="ragged row at line 5"):
+            load_table(head + "1,r,s" + eol, "d")
+        run = _run_with_cell(1, f'"p{eol}q"').replace("\n", eol)
+        with pytest.raises(DataError, match="line 7: field larger than field limit"):
+            load_run(run.replace("5,0,", f"5,{self.BIG},"), toy8)
+        with pytest.raises(DataError, match="ragged run row at line 7"):
+            load_run(run.replace("5,0,", "5,0,0,"), toy8)
+
+    @pytest.mark.parametrize("text", ["a,d\r1,x\r2,y\r", "a,d\r\n1,x\r2,y\n"])
+    def test_bare_carriage_return_ends_records(self, text):
+        got = load_table(text, "d")
+        want = load_table("a,d\n1,x\n2,y\n", "d")
+        assert repr(got.attributes) == repr(want.attributes)
+        assert got.decision_labels == want.decision_labels == ["x", "y"]
+
+    def test_bare_carriage_return_in_run(self, toy8):
+        text = _run_with_cell(1, "0").replace("\n", "\r")
+        assert load_run(text, toy8) == load_run(_run_with_cell(1, "0"), toy8)
+
+    def test_cli_exit_codes(self, tmp_path, toy8_csv, capsys):
+        table = tmp_path / "t.csv"
+        table.write_bytes(b"a,d\r1,x\r2,y\r")
+        assert run_cli(["inspect", str(table), "--decision", "d"]) == 0
+        assert "n=2" in capsys.readouterr().out
+        table.write_text("a,d\n1,p\n" + self.BIG + ",q\n")
+        assert run_cli(["inspect", str(table), "--decision", "d"]) == 2
+        err = capsys.readouterr().err
+        assert "line 3: field larger than field limit" in err and "Traceback" not in err
+        table.write_text(toy8_csv)
+        run = tmp_path / "r.csv"
+        run.write_text(_run_with_cell(2, self.BIG))
+        assert run_cli(["evaluate", str(table), str(run), "--decision", "d"]) == 2
+        assert "line 5: field larger than field limit" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from granulens import (
     partition_by,
     regions,
 )
+from granulens.rough import _mixed, _positive_count, region_fractions
 
 from helpers import (
     brute_lower,
@@ -151,3 +153,16 @@ def test_binary_duality_and_region_partition(seed):
     assert rep.positive | rep.boundary_overall == frozenset(range(table.n))
     assert not rep.positive & rep.boundary_overall
     assert rep.gamma + rep.boundary_fraction == 1
+    assert region_fractions(part, table.decision_labels) == (rep.gamma, rep.boundary_fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_mixed_blocks_are_those_without_a_class_holding_the_whole_block(seed):
+    rng = np.random.default_rng(seed)
+    shape = (rng.integers(1, 40), rng.integers(1, 5))
+    counts = rng.integers(0, 4, shape) * (rng.random(shape) < 0.4)  # pure and empty rows too
+    sizes = counts.sum(axis=1)
+    pure = (counts == sizes[:, None]).any(axis=1)
+    assert (_mixed(counts) == ~pure).all()
+    assert _positive_count(counts) == sizes[pure].sum()
