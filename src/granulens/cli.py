@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 from .errors import GranulensError
@@ -34,6 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _r9(x) -> float:
     return float(f"{float(x):.9f}")
+
+
+def _rounded(record) -> dict:
+    """A dataclass record as a JSON object, its float and Fraction fields through _r9."""
+    return {key: _r9(value) if isinstance(value, (float, Fraction)) else value
+            for key, value in asdict(record).items()}
 
 
 def _attrs_list(text: str) -> list[str]:
@@ -223,11 +231,7 @@ def cmd_sweep(args) -> int:
           f"terminal BF={fmt(summary.terminal_boundary)}")
     if args.out:
         if args.format == "json":
-            payload = [{"bits_level": p.bits_level, "block_count": p.block_count,
-                        "conditional_bits": _r9(p.conditional_bits),
-                        "normalized_conditional": _r9(p.normalized_conditional),
-                        "boundary_fraction": _r9(p.boundary_fraction),
-                        "gamma": _r9(p.gamma)} for p in curve.points]
+            payload = [_rounded(p) for p in curve.points]
             write_atomic(args.out, json.dumps(payload, indent=2) + "\n")
         else:
             write_curve(curve, args.out)
@@ -254,20 +258,9 @@ def cmd_reduce(args) -> int:
         "selected": result.selected,
         "gamma_selected": _r9(result.gamma_selected),
         "gamma_full": _r9(result.gamma_full),
-        "trace": [{"attribute": s.attribute, "gamma_after": _r9(s.gamma_after),
-                   "conditional_bits_after": _r9(s.conditional_bits_after)}
-                  for s in result.trace],
+        "trace": [_rounded(step) for step in result.trace],
         "entropy_rank": [[name, _r9(gain)] for name, gain in ranking]})
     return 0
-
-
-def _eval_payload(rep):
-    return {"run_id": rep.run_id, "accuracy": _r9(rep.accuracy),
-            "model_conditional_bits": _r9(rep.model_conditional_bits),
-            "model_boundary_fraction": _r9(rep.model_boundary_fraction),
-            "model_gamma": _r9(rep.model_gamma),
-            "block_count": rep.block_count,
-            "used_fallback_partition": rep.used_fallback_partition}
 
 
 def _evaluate_file(table, path: str):
@@ -285,7 +278,7 @@ def cmd_evaluate(args) -> int:
           f"blocks={rep.block_count}"
           + (" (fallback: predicted-label partition)"
              if rep.used_fallback_partition else ""))
-    _emit_json(args, _eval_payload(rep))
+    _emit_json(args, _rounded(rep))
     return 0
 
 
@@ -301,11 +294,7 @@ def cmd_compare(args) -> int:
     _emit_json(args, {
         "selected": verdict.selected,
         "tolerance_used": verdict.tolerance_used,
-        "ranked": [{"run_id": r.run_id, "accuracy": _r9(r.accuracy),
-                    "boundary_fraction": _r9(r.boundary_fraction),
-                    "conditional_bits": _r9(r.conditional_bits),
-                    "block_count": r.block_count,
-                    "candidate": r.candidate} for r in verdict.ranked]})
+        "ranked": [_rounded(r) for r in verdict.ranked]})
     return 0
 
 

@@ -12,6 +12,7 @@ import os
 import tempfile
 
 from .errors import DataError
+from .reader import convert_cells, line_of, read_columns
 from .sweep import SweepCurve, SweepPoint
 
 CURVE_HEADER = ["bits_level", "block_count", "conditional_bits",
@@ -53,21 +54,21 @@ def write_curve(curve: SweepCurve, path: str) -> None:
 
 
 def read_curve(csv_data: str, table_id: str = "") -> SweepCurve:
-    reader = csv.reader(io.StringIO(csv_data))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty curve file") from None
+    header, cells, blanks, ragged = read_columns(csv_data)
+    if header is None:
+        raise DataError("empty curve file")
     if header != CURVE_HEADER:
         raise DataError(f"unexpected curve header {header!r}")
-    points = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(CURVE_HEADER):
-            raise DataError("ragged curve row")
-        points.append(SweepPoint(int(row[0]), int(row[1]), float(row[2]),
-                                 float(row[3]), float(row[4]), float(row[5])))
+    if ragged is not None:
+        raise DataError(f"ragged curve row at line {ragged[0]}")
+    columns = []
+    for name, convert, column in zip(CURVE_HEADER, (int, int) + (float,) * 4, cells):
+        values, bad = convert_cells(convert, column)
+        if bad is not None:
+            raise DataError(f"curve column {name!r} has unparsable cell "
+                            f"{column[bad]!r} at line {line_of(bad, blanks)}")
+        columns.append(values)
+    points = list(map(SweepPoint, *columns))
     if not points:
         raise DataError("curve file has no points")
     levels = [p.bits_level for p in points]

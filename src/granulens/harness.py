@@ -67,7 +67,7 @@ def load_run(csv_data: bytes | str, table: InformationTable,
     object_index values must be exactly 0..n-1 in any order. An error
     names the first faulty row in file order.
     """
-    meta = ""
+    meta, skipped = "", 0  # skipped: lines before the header
     text = decode_text(csv_data)
     first = re.match(r"[^\r\n]*(?:\r\n?|\n)?", text).group()  # splitlines breaks at U+2028
     if first.lstrip().startswith("#"):
@@ -75,7 +75,7 @@ def load_run(csv_data: bytes | str, table: InformationTable,
         if m:
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
-        text = text[len(first):]
+        text, skipped = text[len(first):], 1
     header, cells, blanks, ragged = read_columns(text)
     if header is None:
         raise DataError("empty run file")
@@ -104,9 +104,9 @@ def load_run(csv_data: bytes | str, table: InformationTable,
         raise DataError(f"object_index {values[valid]} out of range 0..{n - 1}")
     if bad is not None:
         raise DataError(f"non-integer object_index {cells[0][bad]!r} "
-                        f"at line {line_of(bad, blanks)}")
+                        f"at line {line_of(bad, blanks) + skipped}")
     if ragged is not None:
-        raise DataError(f"ragged run row at line {ragged[0]}")
+        raise DataError(f"ragged run row at line {ragged[0] + skipped}")
     if len(index) != n:
         raise DataError(f"run row count {len(index)} != universe size {n}")
     row_of = np.empty(n, dtype=np.int64)

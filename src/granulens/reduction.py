@@ -8,7 +8,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DataError
-from .table import DiscreteView, factorize, partition_by
+from .table import DiscreteView, factorize, partition_by, refine
 from .rough import _label_matrix, _positive_count, dependency
 from .entropy import _conditional_bits, conditional, shannon, Distribution
 
@@ -51,19 +51,20 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
 
     selected: list[str] = []
     trace: list[ReductStep] = []
-    gamma_cur = _gamma_of(view, labels, selected)
+    chosen = partition_by(view, selected)
+    gamma_cur = dependency(chosen, labels)
     while gamma_cur < gamma_full:
         best = None
         for name in names:
             if name in selected:
                 continue
-            part = partition_by(view, selected + [name])
+            part = refine(chosen, [view.codes_for(name)])
             counts = _label_matrix(part, labels)  # gamma and H(D|P) share one count
             key = (-Fraction(_positive_count(counts), part.n),
                    _conditional_bits(counts, part.n))
             if best is None or key < best[0]:
-                best = (key, name)
-        (neg_gamma, cond_bits), name = best
+                best = (key, name, part)
+        (neg_gamma, cond_bits), name, chosen = best
         selected.append(name)
         gamma_cur = -neg_gamma
         trace.append(ReductStep(name, gamma_cur, cond_bits))

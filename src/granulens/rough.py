@@ -61,20 +61,23 @@ def approximate(partition: Partition, concept: ConceptSet) -> RoughApproximation
     mask = np.zeros(partition.n, dtype=bool)
     if concept.members:
         mask[list(concept.members)] = True
-    sizes = partition.block_sizes()
     hits = np.bincount(partition.block_of, weights=mask, minlength=partition.block_count)
-    hits = hits.astype(np.int64)
+    return _approximation(partition.block_of, hits.astype(np.int64),
+                          partition.block_sizes(), concept.label)
 
-    full = hits == sizes
-    some = hits > 0
-    if not concept.members:
-        full = np.zeros_like(full)  # no block is inside the empty concept
-    block_of = partition.block_of
-    lower = frozenset(np.flatnonzero(full[block_of]).tolist())
-    upper = frozenset(np.flatnonzero(some[block_of]).tolist())
-    boundary = upper - lower
+
+def _approximation(block_of: np.ndarray, hits: np.ndarray, sizes: np.ndarray,
+                   label) -> RoughApproximation:
+    """Approximation of the concept that ``hits[b]`` objects of each block b belong to.
+
+    A block is in the lower approximation when all its objects are hits
+    (never for an empty concept: every object's block has size > 0) and in
+    the upper one when any is.
+    """
+    lower = frozenset(np.flatnonzero((hits == sizes)[block_of]).tolist())
+    upper = frozenset(np.flatnonzero((hits > 0)[block_of]).tolist())
     alpha = Fraction(len(lower), len(upper)) if upper else Fraction(1)
-    return RoughApproximation(lower, upper, boundary, alpha, label=concept.label)
+    return RoughApproximation(lower, upper, upper - lower, alpha, label=label)
 
 
 def _label_matrix(partition: Partition, labels: Sequence) -> np.ndarray:
@@ -119,20 +122,13 @@ def regions(partition: Partition, decision_labels: Sequence) -> RegionReport:
     counts = _label_matrix(partition, decision_labels)
     classes = list(dict.fromkeys(decision_labels))
     sizes = counts.sum(axis=1)
-    block_of = partition.block_of
     universe = frozenset(range(partition.n))
 
     per_class: dict = {}
     negative_by_class: dict = {}
     for j, cls in enumerate(classes):
-        col = counts[:, j]
-        full = col == sizes
-        some = col > 0
-        lower = frozenset(np.flatnonzero(full[block_of]).tolist())
-        upper = frozenset(np.flatnonzero(some[block_of]).tolist())
-        alpha = Fraction(len(lower), len(upper)) if upper else Fraction(1)
-        per_class[cls] = RoughApproximation(lower, upper, upper - lower, alpha, label=cls)
-        negative_by_class[cls] = universe - upper
+        per_class[cls] = _approximation(partition.block_of, counts[:, j], sizes, cls)
+        negative_by_class[cls] = universe - per_class[cls].upper
 
     positive = frozenset().union(*(a.lower for a in per_class.values()))
     boundary_overall = frozenset().union(*(a.boundary for a in per_class.values()))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError
 from .table import (InformationTable, GranulationScheme, Partition, discretize,
-                    factorize, partition_by)
+                    partition_by, refine)
 from .entropy import granular_entropy
 
 MAX_BITS = 24
@@ -61,25 +61,6 @@ def _point_at(partition: Partition, decision_codes: np.ndarray, bits: int) -> Sw
                       report.normalized_conditional, float(boundary), float(1 - boundary))
 
 
-def _refine(partition: Partition, columns: Sequence[np.ndarray], width: int) -> Partition:
-    """Split every block of ``partition`` by the low ``width`` bits of each column.
-
-    Columns are packed into the key ``ids << width | bits`` as many at a
-    time as int64 holds; with width <= MAX_BITS + 1 and fewer than 2**38
-    blocks, at least one fits.
-    """
-    mask = (1 << width) - 1
-    pending = list(columns)
-    while pending:
-        fits = (63 - (partition.block_count - 1).bit_length()) // width
-        chunk, pending = pending[:fits], pending[fits:]
-        keys = partition.block_of
-        for col in chunk:
-            keys = (keys << width) | (col & mask)
-        partition = Partition(factorize(keys))
-    return partition
-
-
 def sweep(table: InformationTable, attrs: Sequence[str],
           bits_from: int, bits_to: int, threads: int = 1) -> SweepCurve:
     """Evaluate one SweepPoint per bits level in [bits_from, bits_to].
@@ -108,12 +89,12 @@ def sweep(table: InformationTable, attrs: Sequence[str],
 
     # The first level takes whole codes (at most 2**bits_from, the missing
     # bin); every later level adds one bit.
-    part, width = partition_by(top, categorical), bits_from + 1
+    part, mask = partition_by(top, categorical), -1
     points: list[SweepPoint] = []
     saturated = False
     for b in range(bits_from, bits_to + 1):
-        part = _refine(part, [c >> (bits_to - b) for c in top_codes], width)
-        width = 1
+        part = refine(part, [(c >> (bits_to - b)) & mask for c in top_codes])
+        mask = 1
         points.append(_point_at(part, table.decision_codes, b))
         if part.block_count == table.n:
             saturated = True

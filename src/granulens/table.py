@@ -320,8 +320,13 @@ def _bin_numeric(values: np.ndarray, rng: tuple[float, float] | None,
         return out
     lo, hi = rng
     # t*2**b halves bin widths exactly as b grows (power-of-two scaling is
-    # exact in binary floating point), which keeps levels nested.
-    t = (values[mask] - lo) / (hi - lo)
+    # exact in binary floating point), which keeps levels nested. A range
+    # wider than DBL_MAX is scaled by 1/2 first (exact for normal numbers);
+    # t stays monotone in v and does not depend on b.
+    if math.isfinite(hi - lo):
+        t = (values[mask] - lo) / (hi - lo)
+    else:
+        t = (values[mask] / 2 - lo / 2) / (hi / 2 - lo / 2)
     codes = np.floor(t * nbins).astype(np.int64)
     out[mask] = np.clip(codes, 0, nbins - 1)
     return out
@@ -380,6 +385,29 @@ def _first_occurrence_ids(group_ids: np.ndarray) -> np.ndarray:
     return rank[group_ids]
 
 
+def refine(partition: Partition, columns: Sequence[np.ndarray]) -> Partition:
+    """Split every block of ``partition`` by the non-negative codes of each column.
+
+    A column of width w = ``int(col.max()).bit_length()`` joins the key as
+    ``key << w | col``; columns are packed next to the block ids as many at
+    a time as fit in 63 bits, and each packed key is relabelled to
+    first-occurrence ids by ``factorize``. A column too wide to fit beside
+    the block ids is factorized first, which fits for fewer than 2**31 rows.
+    """
+    keys, packed = partition.block_of, False  # packed: keys hold columns not yet relabelled
+    used = (partition.block_count - 1).bit_length()  # bits the keys take
+    for col in columns:
+        width = int(col.max()).bit_length()
+        if used + width > 63 and packed:
+            keys, packed = factorize(keys), False
+            used = int(keys.max()).bit_length()
+        if used + width > 63:
+            col = factorize(col)
+            width = int(col.max()).bit_length()
+        keys, used, packed = (keys << width) | col, used + width, True
+    return Partition(factorize(keys)) if packed else partition
+
+
 def partition_by(view: DiscreteView, attrs: Sequence[str]) -> Partition:
     """Group objects whose code tuples over ``attrs`` coincide.
 
@@ -390,18 +418,6 @@ def partition_by(view: DiscreteView, attrs: Sequence[str]) -> Partition:
         table.attribute(name)
         if name == table.decision:
             raise DataError("cannot partition by the decision attribute")
-    if not attrs:
-        return Partition.single_block(table.n)
-
-    # Fold attributes in declaration order so the result is independent of
-    # the order attrs were given in.
-    decl = [a.name for a in table.attributes]
-    ordered = sorted(set(attrs), key=decl.index)
-    ids = np.zeros(table.n, dtype=np.int64)
-    for name in ordered:
-        col = view.codes_for(name)
-        if (int(ids.max()) + 1) * (int(col.max()) + 1) > 2**63:  # key would wrap
-            _, col = np.unique(col, return_inverse=True)
-        keys = ids * (int(col.max()) + 1) + col
-        _, ids = np.unique(keys, return_inverse=True)
-    return Partition(_first_occurrence_ids(ids))
+    # each attribute once, in declaration order
+    return refine(Partition.single_block(table.n),
+                  [view.codes_for(a.name) for a in table.attributes if a.name in attrs])

@@ -2,7 +2,9 @@
 
 The oracles here deliberately stay brute-force double loops over the
 universe so they remain independent of the library's vectorized paths.
-The sweep oracle rebuilds every level from scratch instead of refining.
+The partition oracles are the per-attribute ``np.unique`` fold and the
+sweep's packed-key refinement that ``table.refine`` replaced. The sweep
+oracle rebuilds every level from scratch with the fold instead of refining.
 The reduct and run-evaluation oracles count on the decision's token labels
 and build a separate partition for each metric. The granular-entropy
 oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
@@ -19,10 +21,11 @@ import numpy as np
 from granulens import (MISSING, AttributeSpec, DataError, EvalReport,
                        GranulationScheme, InformationTable, ModelRun, Partition,
                        ReductResult, SweepPoint, conditional, dependency,
-                       discretize, granular_entropy, load_table, partition_by)
+                       discretize, granular_entropy, load_table)
 from granulens.reader import decode_text
 from granulens.reduction import ReductStep
 from granulens.rough import _label_matrix, region_fractions
+from granulens.table import factorize
 
 
 def random_table(rng: random.Random, max_n=32, max_attrs=5, max_classes=4,
@@ -141,13 +144,47 @@ def random_sweep_table(rng: random.Random, max_n=40, max_attrs=6, max_classes=3)
     return load_table(buf.getvalue(), "d", schema_hints=hints)
 
 
+def refine_by_fold(partition, columns):
+    """Split the blocks of ``partition`` by one ``np.unique`` over each column in turn."""
+    ids = partition.block_of
+    for col in columns:
+        if (int(ids.max()) + 1) * (int(col.max()) + 1) > 2**63:  # key would wrap
+            _, col = np.unique(col, return_inverse=True)
+        keys = ids * (int(col.max()) + 1) + col
+        _, ids = np.unique(keys, return_inverse=True)
+    return Partition(factorize(ids.tolist()))  # first occurrence by the dict path
+
+
+def partition_by_fold(view, attrs):
+    """partition_by as a fold over its attributes in declaration order."""
+    decl = [a.name for a in view.source.attributes]
+    return refine_by_fold(Partition.single_block(view.source.n),
+                          [view.codes_for(name) for name in sorted(set(attrs), key=decl.index)])
+
+
+def refine_packed(partition, columns, width):
+    """Split every block of ``partition`` by the low ``width`` bits of each column.
+
+    Columns are packed into the key ``ids << width | bits`` as many at a
+    time as int64 holds; with width <= 25 and fewer than 2**38 blocks, at
+    least one fits.
+    """
+    mask = (1 << width) - 1
+    pending = list(columns)
+    while pending:
+        fits = (63 - (partition.block_count - 1).bit_length()) // width
+        chunk, pending = pending[:fits], pending[fits:]
+        keys = partition.block_of
+        for col in chunk:
+            keys = (keys << width) | (col & mask)
+        partition = Partition(factorize(keys))
+    return partition
+
+
 def point_from_scratch(table, attrs, bits) -> SweepPoint:
     """One sweep level: discretize, partition, then entropy and regions."""
     scheme = GranulationScheme.uniform(table, bits, attrs=list(attrs) or None)
-    if attrs:
-        part = partition_by(discretize(table, scheme), list(attrs))
-    else:
-        part = Partition.single_block(table.n)
+    part = partition_by_fold(discretize(table, scheme), attrs)
     report = granular_entropy(part, table.decision_labels)
     gamma, bf = region_fractions(part, table.decision_labels)
     return SweepPoint(bits, part.block_count, report.conditional_bits,
@@ -194,10 +231,10 @@ def refines_by_loop(fine, coarse):
 def greedy_reduct_two_partitions(view, decision_labels):
     """greedy_reduct with one partition for gamma and another for H(D|P)."""
     def gamma_of(attrs):
-        return dependency(partition_by(view, list(attrs)), decision_labels)
+        return dependency(partition_by_fold(view, attrs), decision_labels)
 
     def cond_of(attrs):
-        return conditional(decision_labels, partition_by(view, list(attrs)))
+        return conditional(decision_labels, partition_by_fold(view, attrs))
 
     names = view.condition_names
     if not names:
@@ -345,7 +382,7 @@ _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
 
 def load_run_by_rows(csv_data, table, run_id="run"):
     """load_run row by row: parse, range-check and place each row in turn."""
-    meta = ""
+    meta, first_line = "", 1
     text = decode_text(csv_data)
     first = re.match(r"[^\r\n]*(?:\r\n?|\n)?", text).group()
     if first.lstrip().startswith("#"):
@@ -353,7 +390,7 @@ def load_run_by_rows(csv_data, table, run_id="run"):
         if m:
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
-        text = text[len(first):]
+        text, first_line = text[len(first):], 2
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -369,7 +406,7 @@ def load_run_by_rows(csv_data, table, run_id="run"):
     granule = [None] * n
     seen = set()
     count = 0
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(reader, start=first_line + 1):
         if not row:
             continue
         if len(row) != len(header):

@@ -1,7 +1,12 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import granulens
 
 from granulens import load_table, read_curve, sweep, emit_svg
 from granulens.cli import run_cli
@@ -174,6 +179,20 @@ class TestOtherCommands:
         attrs = [] if cmd == "reduce" else ["--attrs", "a2"]
         assert run_cli([cmd, str(toy8_file), "--decision", "d", "--bits", "63", *attrs]) == 2
         assert "exceeds 62" in capsys.readouterr().err
+
+
+def test_sweep_range_wider_than_dbl_max_splits_under_warnings_as_errors(tmp_path):
+    table = tmp_path / "wide.csv"
+    table.write_text("a,d\n-1e308,x\n0,y\n1e308,z\n")
+    src = str(pathlib.Path(granulens.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "granulens.cli", "sweep",
+                           str(table), "--decision", "d", "--attrs", "a", "--bits", "0..4"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "b=1: blocks=2 " in done.stdout
+    assert "b=2: blocks=3 H=0.000000000 BF=0.000000000" in done.stdout
+    assert "(saturated early)" in done.stdout
 
 
 class TestSvg:

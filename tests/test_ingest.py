@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from granulens import (MISSING, DataError, InformationTable, load_run,
-                       load_table)
+                       load_table, read_curve)
 from granulens.cli import run_cli
 from granulens.table import factorize
 
@@ -214,6 +214,15 @@ class TestRunFaults:
         with pytest.raises(DataError, match="duplicate object_index 5"):
             load_run(run_csv(rows), toy8)
 
+    @pytest.mark.parametrize("directive", ["", "# run_id=x\n", "# note\r\n"])
+    def test_error_lines_count_the_directive_line(self, toy8, directive):
+        head = directive + "object_index,predicted\n0,a\n"
+        line = 4 if directive else 3
+        with pytest.raises(DataError, match=f"ragged run row at line {line}$"):
+            load_run(head + "1,b,c\n", toy8)
+        with pytest.raises(DataError, match=f"non-integer object_index 'x' at line {line}$"):
+            load_run(head + "x,b\n", toy8)
+
     def test_cli_rejects_granule_typo_with_exit_2(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
         table.write_text("a,d\n1,p\n2,q\n")
@@ -221,6 +230,25 @@ class TestRunFaults:
         run.write_text("object_index,predicted,granules\n0,p,g0\n1,q,g1\n")
         assert run_cli(["evaluate", str(table), str(run), "--decision", "d"]) == 2
         assert "unexpected run column 'granules'" in capsys.readouterr().err
+
+
+class TestReadCurve:
+    TEXT = ("bits_level,block_count,conditional_bits,normalized_conditional,"
+            "boundary_fraction,gamma\n0,1,1.0,1.0,1.0,0.0\n\n1,2,0.5,0.5,0.5,0.5\n")
+
+    @pytest.mark.parametrize("eol", ["\r", "\r\n"])
+    def test_record_ends_read_alike(self, eol):
+        assert read_curve(self.TEXT.replace("\n", eol)) == read_curve(self.TEXT)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("0.5,0.5,0.5,0.5", "0.5,x,0.5,0.5",
+         "curve column 'normalized_conditional' has unparsable cell 'x' at line 4"),
+        ("1,2,", "1.5,2,", "curve column 'bits_level' has unparsable cell '1.5' at line 4"),
+        ("0,1,1.0,", "0,1,1.0,1.0,", "ragged curve row at line 2"),
+        ("0,1,", "0," + "9" * 131_073 + ",", "line 2: field larger than field limit")])
+    def test_faults_are_data_errors(self, old, new, message):
+        with pytest.raises(DataError, match=message):
+            read_curve(self.TEXT.replace(old, new, 1))
 
 
 def test_factorize_returns_first_occurrence_codes_unchanged():

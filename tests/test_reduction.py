@@ -164,23 +164,29 @@ def test_greedy_matches_two_partition_oracle(seed):
 
 
 def test_one_partition_per_greedy_candidate(monkeypatch):
+    """Each candidate refines the partition of the picks so far by one column."""
     rng = random.Random(3)
-    orig = granulens.reduction.partition_by
-    calls = []
+    orig_partition = granulens.reduction.partition_by
+    orig_refine = granulens.reduction.refine
+    calls, refined = [], []
     monkeypatch.setattr(granulens.reduction, "partition_by",
-                        lambda view, attrs: calls.append(list(attrs)) or orig(view, attrs))
+                        lambda view, attrs: calls.append(list(attrs)) or orig_partition(view, attrs))
+    monkeypatch.setattr(granulens.reduction, "refine",
+                        lambda part, cols: refined.append(len(cols)) or orig_refine(part, cols))
     searched = 0
     for _ in range(20):
         table = _consistent_table(rng)
         view = discretize(table, GranulationScheme())
         calls.clear()
+        refined.clear()
         result = greedy_reduct(view, table.decision_labels)
         m, steps = len(view.condition_names), len(result.trace)
         candidates = sum(m - i for i in range(steps))
         searched += steps > 0
-        # gamma over all attributes and over none, the candidates, one
-        # prune check per pick, and the final gamma
-        assert len(calls) == 2 + candidates + steps + 1
+        # gamma over all attributes and over none, one prune check per
+        # pick, and the final gamma; one single-column refine per candidate
+        assert len(calls) == 2 + steps + 1
+        assert refined == [1] * candidates
     assert searched >= 10
 
 
@@ -188,10 +194,13 @@ def test_one_count_pass_per_greedy_partition(monkeypatch):
     """Each candidate's gamma and H(D|P) come from a single (block x class) count."""
     rng = random.Random(5)
     orig_partition = granulens.reduction.partition_by
+    orig_refine = granulens.reduction.refine
     orig_count = granulens.rough._label_matrix
     partitions, counts = [], []
     monkeypatch.setattr(granulens.reduction, "partition_by",
                         lambda view, attrs: partitions.append(1) or orig_partition(view, attrs))
+    monkeypatch.setattr(granulens.reduction, "refine",
+                        lambda part, cols: partitions.append(1) or orig_refine(part, cols))
     for module in (granulens.rough, granulens.entropy, granulens.reduction):
         monkeypatch.setattr(module, "_label_matrix",
                             lambda part, labels: counts.append(1) or orig_count(part, labels))
@@ -200,5 +209,6 @@ def test_one_count_pass_per_greedy_partition(monkeypatch):
         view = discretize(table, GranulationScheme())
         partitions.clear()
         counts.clear()
-        greedy_reduct(view, table.decision_labels)
-        assert len(counts) == len(partitions)
+        result = greedy_reduct(view, table.decision_labels)
+        m, steps = len(view.condition_names), len(result.trace)
+        assert len(counts) == len(partitions) == 3 + steps + sum(m - i for i in range(steps))

@@ -2,19 +2,22 @@ import math
 import random
 from importlib import import_module
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from granulens import (
     DataError,
+    Partition,
     SweepCurve,
     SweepPoint,
     convergence_summary,
     load_table,
     sweep,
 )
+from granulens.table import refine
 
-from helpers import random_sweep_table, random_table, sweep_from_scratch
+from helpers import random_sweep_table, random_table, refine_packed, sweep_from_scratch
 
 TOL = 1e-9
 
@@ -189,3 +192,16 @@ def test_sweep_matches_oracle_on_72_numeric_columns(bits_from):
     assert not saturated and len(points) == 25 - bits_from
     assert curve.points == points
     assert curve.saturated == saturated
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**9), n=st.integers(1, 40), width=st.integers(1, 25),
+       count=st.integers(0, 80))
+def test_masked_refine_matches_packed_key_oracle(seed, n, width, count):
+    """The sweep's refine(part, [code & mask]) against its former packed-key routine."""
+    rng = np.random.default_rng(seed)
+    start = Partition.from_labels(rng.integers(0, rng.integers(1, n + 1), size=n))
+    columns = list(rng.integers(0, 2**25 + 1, size=(count, n)))
+    mask = (1 << width) - 1
+    got = refine(start, [c & mask for c in columns])
+    assert got.block_of.tolist() == refine_packed(start, columns, width).block_of.tolist()

@@ -7,14 +7,17 @@ from hypothesis import given, settings, strategies as st
 from granulens import (
     DataError,
     GranulationScheme,
+    InformationTable,
     MISSING,
     Partition,
     discretize,
     load_table,
     partition_by,
 )
+from granulens.table import refine
 
-from helpers import random_table, random_view, random_attr_subset, refines_by_loop
+from helpers import (partition_by_fold, random_attr_subset, random_table, random_view,
+                     refine_by_fold, refines_by_loop)
 
 
 class TestLoadTable:
@@ -106,6 +109,13 @@ class TestDiscretize:
             discretize(toy8, GranulationScheme({"a2": 63}))
         codes = discretize(toy8, GranulationScheme({"a2": 62})).codes_for("a2")
         assert codes[0] == 0 and codes[-1] == 2**62 - 1
+
+    def test_range_wider_than_dbl_max(self):
+        # hi - lo overflows to inf; the bins come from the halved range
+        table = load_table("a,d\n-1e308,x\n0,y\n1e308,z\n", "d")
+        codes = [discretize(table, GranulationScheme({"a": b})).codes_for("a").tolist()
+                 for b in range(4)]
+        assert codes == [[0, 0, 0], [0, 1, 1], [0, 2, 3], [0, 4, 7]]
 
     def test_scheme_rejects_categorical_and_unknown(self, toy8):
         with pytest.raises(DataError):
@@ -223,3 +233,52 @@ def test_refines_matches_loop_oracle(fine, merge, split):
     for a, b in ((p_fine, p_coarse), (p_coarse, p_fine)):
         assert a.refines(b) == refines_by_loop(a, b)
     assert p_fine.refines(Partition.single_block(p_fine.n + 1)) is False
+
+
+# Small codes and codes up to 2**62 (the missing bin at 62 bits), so keys
+# pack, fill up, and need a column factorized before it fits.
+CODE = st.one_of(st.integers(0, 9), st.sampled_from([2**61, 2**62 - 1, 2**62]),
+                 st.integers(0, 2**62))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_refine_matches_per_column_fold(data, n):
+    blocks = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    start = Partition.from_labels(blocks)
+    columns = [np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                        dtype=np.int64)
+               for pool in data.draw(st.lists(st.lists(CODE, min_size=1, max_size=4),
+                                              max_size=5))]
+    got = refine(start, columns)
+    assert got.block_of.tolist() == refine_by_fold(start, columns).block_of.tolist()
+    assert got.refines(start)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_partition_by_matches_fold_oracle(seed):
+    rng = random.Random(seed)
+    table = random_table(rng, max_n=24)
+    view = random_view(rng, table, max_bits=62)
+    attrs = random_attr_subset(rng, table, nonempty=False)
+    got = partition_by(view, attrs)
+    assert got.block_of.tolist() == partition_by_fold(view, attrs).block_of.tolist()
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308,
+                                    5e-324, -5e-324, 2.2250738585072014e-308, 0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(FINITE, min_size=1, max_size=12),
+       bits=st.sampled_from([0, 1, 2, 7, 23, 52, 61]))
+def test_bins_in_range_monotone_and_nested_over_finite_floats(values, bits):
+    table = InformationTable.from_columns({"v": values, "d": ["x"] * len(values)}, "d")
+    coarse, fine = (discretize(table, GranulationScheme({"v": b})).codes_for("v")
+                    for b in (bits, bits + 1))
+    assert ((0 <= coarse) & (coarse < 2**bits)).all()
+    by_value = coarse[np.argsort(values, kind="stable")]
+    assert (by_value[1:] >= by_value[:-1]).all()
+    assert (fine >> 1 == coarse).all()
