@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, UniverseMismatchError
-from .reader import convert_cells, decode_text, line_of, read_columns
+from .reader import convert_cells, decode_text, line_of, read_columns, read_typed
 from .table import InformationTable, Partition
 from .entropy import granular_entropy
 
@@ -76,7 +76,11 @@ def load_run(csv_data: bytes | str, table: InformationTable,
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
         text, skipped = text[len(first):], 1
-    header, cells, blanks, ragged = read_columns(text)
+    header = ["object_index", "predicted", "granule"]
+    header = header[:3 if text.startswith(",".join(header)) else 2]
+    typed = read_typed(text, header, ["i8", "O", "O"][:len(header)])
+    header, cells, blanks, ragged = ((header, typed, [], None) if typed is not None
+                                     else read_columns(text, skipped))
     if header is None:
         raise DataError("empty run file")
     header = [h.strip() for h in header]
@@ -88,7 +92,7 @@ def load_run(csv_data: bytes | str, table: InformationTable,
                         "the header is object_index,predicted[,granule]")
 
     n = table.n
-    values, bad = convert_cells(int, cells[0])
+    values, bad = (cells[0], None) if typed is not None else convert_cells(int, cells[0])
     try:
         index = np.array(values, dtype=np.int64)
     except OverflowError:  # beyond int64, so out of range
@@ -104,17 +108,15 @@ def load_run(csv_data: bytes | str, table: InformationTable,
         raise DataError(f"object_index {values[valid]} out of range 0..{n - 1}")
     if bad is not None:
         raise DataError(f"non-integer object_index {cells[0][bad]!r} "
-                        f"at line {line_of(bad, blanks) + skipped}")
+                        f"at line {line_of(bad, blanks, skipped)}")
     if ragged is not None:
-        raise DataError(f"ragged run row at line {ragged[0] + skipped}")
+        raise DataError(f"ragged run row at line {ragged[0]}")
     if len(index) != n:
         raise DataError(f"run row count {len(index)} != universe size {n}")
     row_of = np.empty(n, dtype=np.int64)
     row_of[index] = np.arange(n)
-    rows = row_of.tolist()
-    predicted = list(map(cells[1].__getitem__, rows))
-    granule = list(map(cells[2].__getitem__, rows)) if len(cells) == 3 else None
-    return ModelRun(run_id, predicted, granule, meta)
+    predicted, *granule = [np.asarray(col, dtype=object)[row_of].tolist() for col in cells[1:]]
+    return ModelRun(run_id, predicted, *granule, meta=meta)
 
 
 def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:

@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from itertools import islice
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -32,26 +35,26 @@ def decode_text(data: bytes | str) -> str:
         raise DataError(f"input is not valid UTF-8: {exc}") from None
 
 
-def read_columns(text: str) -> tuple[list[str] | None, list[list[str]], list[int],
-                                     tuple[int, int] | None]:
+def read_columns(text: str, skipped: int = 0) -> tuple[
+        list[str] | None, list[list[str]], list[int], tuple[int, int] | None]:
     """Read CSV text into its header and one list of cells per column.
 
     ``\\r``, ``\\n`` and ``\\r\\n`` end records. Lines count records (a quoted
-    cell may span several), the header being line 1. Blank records are
-    skipped, and reading stops at the first record whose cell count differs
-    from the header's. Returns the header (None for text without records), the
-    columns, the blank records' lines, and (line, cell count) of that ragged
-    record or None. A DataError names the line of a record the csv module
-    rejects (a field over its size limit, say).
+    cell may span several), the header being line 1 + ``skipped``. Blank
+    records are skipped, and reading stops at the first record whose cell
+    count differs from the header's. Returns the header (None for text
+    without records), the columns, the blank records' lines, and (line, cell
+    count) of that ragged record or None. A DataError names the line of a
+    record the csv module rejects (a field over its size limit, say).
     """
     records = csv.reader(io.StringIO(text, newline=""))
-    line, chunk = 1, []  # chunk[0]'s line; list.extend keeps what it read before a raise
+    line, chunk = 1 + skipped, []  # chunk[0]'s line; extend keeps what it read before a raise
     try:
         header = next(records, None)
         width = len(header or ())
         columns: list[list[str]] = [[] for _ in range(width)]
         blanks: list[int] = []
-        line = 2
+        line += 1
         while chunk.extend(islice(records, _CHUNK)) or chunk:
             start, line = line, line + len(chunk)
             ragged = None
@@ -76,9 +79,9 @@ def read_columns(text: str) -> tuple[list[str] | None, list[list[str]], list[int
     return header, columns, blanks, None
 
 
-def line_of(row: int, blanks: list[int]) -> int:
+def line_of(row: int, blanks: list[int], skipped: int = 0) -> int:
     """Line of data row ``row`` (0-based) given the lines of the blank records."""
-    line = row + 2
+    line = row + 2 + skipped
     for blank in blanks:
         if blank > line:
             break
@@ -104,3 +107,35 @@ def convert_cells(convert: Callable, cells: Sequence, missing: tuple = (),
             if cells[len(out)] not in missing:
                 return out, len(out)
             out.append(fill)
+
+
+def read_typed(text: str, header: list[str], kinds: list[str]) -> list[np.ndarray] | None:
+    """Columns of CSV ``text``, one per dtype in ``kinds``, read by numpy's C parser.
+
+    ``header`` is the text's first line split at commas. Returns None where
+    the parser might not read the text as read_columns and int()/float() do,
+    which then also name the line of an error: an empty or quoted first line,
+    NUL or U+001C-U+001F anywhere, a cell the parser rejects, no data record,
+    or a field that may exceed the csv module's limit.
+    """
+    line = ",".join(header)
+    # Python 3.10's csv rejects NUL; numpy skips U+001C-U+001F as spaces, int() does not
+    if (not line or '"' in line or not text.startswith(line)
+            or text[len(line):len(line) + 1] not in ("\r", "\n")
+            or any(c in text for c in "\x00\x1c\x1d\x1e\x1f")):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data", deprecations
+            rows = np.loadtxt(io.StringIO(text, newline=""), dtype=",".join(kinds) + ",",
+                              delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1)
+    except (ValueError, TypeError, Warning):
+        return None
+    columns = [rows[name] for name in rows.dtype.names]
+    # a field lies between two commas (or an end), or holds one and is a quoted str
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    gaps = np.diff(np.flatnonzero(data == ord(",")), prepend=-1, append=len(data))
+    if gaps.max() > csv.field_size_limit() + 1 or '"' in text and any(
+            max(map(len, col)) > csv.field_size_limit() for col in columns if col.dtype == object):
+        return None
+    return columns

@@ -10,6 +10,7 @@ categorical attributes always granulate by identity.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .reader import convert_cells, decode_text, line_of, read_columns
+from .reader import convert_cells, decode_text, line_of, read_columns, read_typed
 
 
 class _Missing:
@@ -197,10 +198,16 @@ def load_table(csv_data: bytes | str, decision_name: str,
     parses as a real number, unless ``schema_hints`` overrides its kind.
     Empty cells and ``?`` are MISSING; in a numeric column so is a NaN
     cell, and an infinite one is a DataError. The decision column must be
-    total and is always categorical. Each numeric cell is parsed by one
-    float() call.
+    total and is always categorical. Each numeric cell is parsed once, by
+    ``reader.read_typed`` or else by one float() call.
     """
-    header, raw, blanks, ragged = read_columns(decode_text(csv_data))
+    text = decode_text(csv_data)
+    header, blanks, ragged = re.match(r"[^\r\n]*", text).group().split(","), [], None
+    raw = None if schema_hints else read_typed(
+        text, header, ["O" if h == decision_name else "f8" for h in header])
+    # an infinity is an error naming its line, which read_columns knows
+    if raw is None or any(np.isinf(col).any() for col in raw if col.dtype != object):
+        header, raw, blanks, ragged = read_columns(text)
     if header is None:
         raise DataError("empty file")
     if len(set(header)) != len(header):
@@ -210,7 +217,7 @@ def load_table(csv_data: bytes | str, decision_name: str,
     if ragged is not None:
         raise DataError(f"ragged row at line {ragged[0]}: "
                         f"expected {len(header)} cells, got {ragged[1]}")
-    if not raw[0]:
+    if not len(raw[0]):
         raise DataError("empty file: no data rows")
 
     hints = dict(schema_hints or {})
@@ -220,7 +227,8 @@ def load_table(csv_data: bytes | str, decision_name: str,
 
     specs, columns = [], {}
     for name, cells in zip(header, raw):
-        cells = list(map(str.strip, cells))
+        if not isinstance(cells, np.ndarray) or cells.dtype == object:
+            cells = list(map(str.strip, cells))
         kind = None
         if name == decision_name:
             kind = "categorical"

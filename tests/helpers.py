@@ -306,14 +306,18 @@ def _infer_kind(col):
 
 
 def _observed_range(col):
-    vals = [float(v) for v in col if v is not MISSING]
+    vals = [float(v) for v in col if v is not MISSING and v == v]  # NaN is missing
     if not vals:
         return None
     return (min(vals), max(vals))
 
 
 def load_table_by_rows(csv_data, decision_name, schema_hints=None, table_id=""):
-    """load_table row by row: infer, parse and range each column cell by cell."""
+    """load_table row by row: infer, parse and range each column cell by cell.
+
+    A NaN cell stays in the column but not in the range; an infinite cell
+    in a numeric column is an error naming its line.
+    """
     reader = csv.reader(io.StringIO(decode_text(csv_data)))
     try:
         header = next(reader)
@@ -324,7 +328,7 @@ def load_table_by_rows(csv_data, decision_name, schema_hints=None, table_id=""):
     if decision_name not in header:
         raise DataError(f"missing decision column {decision_name!r}")
 
-    rows = []
+    rows, lines = [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -332,6 +336,7 @@ def load_table_by_rows(csv_data, decision_name, schema_hints=None, table_id=""):
             raise DataError(f"ragged row at line {lineno}: "
                             f"expected {len(header)} cells, got {len(row)}")
         rows.append(row)
+        lines.append(lineno)
     if not rows:
         raise DataError("empty file: no data rows")
 
@@ -369,6 +374,9 @@ def load_table_by_rows(csv_data, decision_name, schema_hints=None, table_id=""):
                     raise DataError(
                         f"column {name!r} declared numeric but row {i} "
                         f"has unparsable cell {v!r}") from None
+                if parsed[-1] in (float("inf"), float("-inf")):
+                    raise DataError(f"column {name!r} has non-finite value "
+                                    f"{parsed[-1]} at line {lines[i]}")
             columns[name] = np.asarray(
                 [np.nan if v is MISSING else v for v in parsed], dtype=np.float64)
             specs.append(AttributeSpec(name, "numeric", _observed_range(parsed)))
@@ -400,6 +408,9 @@ def load_run_by_rows(csv_data, table, run_id="run"):
     if header[:2] != ["object_index", "predicted"]:
         raise DataError("run header must start with object_index,predicted")
     has_granule = len(header) > 2 and header[2] == "granule"
+    if len(header) > 2 + has_granule:
+        raise DataError(f"unexpected run column {header[2 + has_granule]!r}: "
+                        "the header is object_index,predicted[,granule]")
 
     n = table.n
     predicted = [None] * n

@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from granulens import (MISSING, DataError, InformationTable, load_run,
                        load_table, read_curve)
 from granulens.cli import run_cli
+from granulens.reader import read_columns
 from granulens.table import factorize
 
 from helpers import load_run_by_rows, load_table_by_rows, run_csv
@@ -353,6 +355,21 @@ class TestCsvModuleErrors:
         with pytest.raises(DataError, match="line 5: field larger than field limit"):
             load_run(_run_with_cell(1, self.BIG), toy8)
 
+    @pytest.mark.parametrize("directive, line", [("", 2), ("# run_id=x\n", 3)])
+    def test_oversized_run_field_counts_the_directive_line(self, toy8, directive, line):
+        text = directive + "object_index,predicted\n0," + self.BIG + "\n"
+        with pytest.raises(DataError, match=f"line {line}: field larger than field limit"):
+            load_run(text, toy8)
+
+    @pytest.mark.parametrize("cell", [
+        "0." + "0" * 131_072 + "1",  # a number float() reads, on one line
+        '"1' + "\n" * 131_073 + '"',  # a number padded over many short lines
+        '"' + "a," * 65_537 + '"'])  # quoted text with a comma every two characters
+    def test_oversized_field_that_numpy_reads_is_data_error(self, cell):
+        for text in (f"a,d\n1,p\n{cell},q\n", f"d,a\np,1\nq,{cell}\n"):
+            with pytest.raises(DataError, match="line 3: field larger than field limit"):
+                load_table(text, "d")
+
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
     def test_lines_count_records_after_a_multiline_cell(self, toy8, eol):
         # header, a quoted cell over three physical lines, a blank record, a row
@@ -392,3 +409,186 @@ class TestCsvModuleErrors:
         run.write_text(_run_with_cell(2, self.BIG))
         assert run_cli(["evaluate", str(table), str(run), "--decision", "d"]) == 2
         assert "line 5: field larger than field limit" in capsys.readouterr().err
+
+
+# --- numpy's C parser (reader.read_typed) against the exact path -------------
+
+#: characters on whose presence read_typed leaves a text to the exact path
+TRIGGERS = ["\x00", "\x1c", "\x1d", "\x1e", "\x1f"]
+TYPED_NUMBER = st.one_of(
+    st.integers(-1000, 1000).map(str), st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "-nan", "NaN", "-0.0", "+4", ".5", "5.", "1e-300", " 7 ",
+                     "\xa05\u3000", '"4"', '" 4"', '"2\n"']))
+#: cells read_typed reads otherwise or not at all, or that are errors
+ODD_NUMBER = st.sampled_from(["inf", "-inf", "1e999", "-1e999", "\u0661", "0x10",
+                              "\ufeff1", '"1,5"', "1_0", "nan(1)"])
+#: raw CSV text of one cell, quotes included
+TYPED_WORD = st.sampled_from([
+    "a", "b", "x y", " a ", '"a,b"', '"q""t"', 'q"t', '"a"b', ' "a"', "p\u2028q", "\x85",
+    '"p\nq"', '"p\r\nq"', "\ufeff", "\u03a9", "#", "1"])
+
+
+def _exactly(load, *args, **kwargs):
+    """Outcome of ``load`` with read_typed declining every text."""
+    with mock.patch("granulens.table.read_typed", return_value=None), \
+            mock.patch("granulens.harness.read_typed", return_value=None):
+        return outcome(load, *args, **kwargs)
+
+
+def _join(draw, rnd, lines):
+    """CSV text of raw lines with one line end, blank lines, a trigger or a BOM."""
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [out for line in lines for out in ([""] if rnd.random() < 0.05 else []) + [line]]
+    if rnd.random() < 0.1:
+        at = rnd.randrange(len(lines))
+        spot = rnd.randrange(len(lines[at]) + 1)
+        lines[at] = lines[at][:spot] + rnd.choice(TRIGGERS) + lines[at][spot:]
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    if rnd.random() < 0.1:
+        return text.encode("utf-8-sig")  # a BOM the decoder drops
+    return "\ufeff" + text if rnd.random() < 0.05 else text
+
+
+@st.composite
+def typed_tables(draw):
+    """Mostly all-numeric tables written cell by cell, quotes and all."""
+    rnd = draw(st.randoms(use_true_random=True))
+    width = draw(st.integers(1, 3))
+    lines = [",".join([f"x{i}" for i in range(width)] + ["d"])]
+    for _ in range(draw(st.integers(0, 8))):
+        cells = [draw(ODD_NUMBER if rnd.random() < 0.03 else TYPED_NUMBER)
+                 for _ in range(width)] + [draw(TYPED_WORD)]
+        if rnd.random() < 0.05:
+            cells[rnd.randrange(len(cells))] = draw(MISSING_CELL)
+        if rnd.random() < 0.03:
+            cells = cells[:-1] if rnd.random() < 0.5 else cells + ["1"]
+        lines.append(",".join(cells))
+    hints = {"x0": "numeric"} if rnd.random() < 0.05 else None
+    return _join(draw, rnd, lines), hints
+
+
+@st.composite
+def typed_runs(draw, n):
+    """Run files written cell by cell, with rare faults in object_index."""
+    rnd = draw(st.randoms(use_true_random=True))
+    granule = draw(st.booleans())
+    rows = [[str(i), draw(TYPED_WORD), draw(TYPED_WORD)][:2 + granule] for i in range(n)]
+    rows = draw(st.permutations(rows))
+    while rnd.random() < 0.2:
+        rows[rnd.randrange(n)][0] = draw(st.sampled_from(
+            ["x", "1.0", "", str(n), "-1", str(10**30), " 3 ", "+2", "-0", "0_1",
+             "\u0661", "\x1c1", rows[rnd.randrange(n)][0]]))
+    if rnd.random() < 0.1:
+        rows = rows[:-1]
+    if rnd.random() < 0.03:
+        rows[0] = rows[0] + ["1"]
+    header = "object_index,predicted"
+    if rnd.random() < 0.1:
+        header = rnd.choice(['"object_index",predicted', "object_index, predicted"])
+    lines = [header + ",granule" * granule] + [",".join(row) for row in rows]
+    if draw(st.booleans()):
+        lines.insert(0, "# run_id=r1 meta=k=3")
+    return _join(draw, rnd, lines)
+
+
+def _table_state(got):
+    if isinstance(got, str):
+        return got
+    return ([repr(a) for a in got.attributes], got.decision_labels,
+            [got.column(a.name).tobytes() if a.kind == "numeric" else got.column(a.name)
+             for a in got.attributes])
+
+
+def _by_rows_reads(text):
+    """False where the row oracle's csv reader raises: on a bare CR, which
+    ends a record, or on NUL under Python 3.10."""
+    raw = text.decode("utf-8-sig") if isinstance(text, bytes) else text
+    return "\r" not in raw.replace("\r\n", "") and "\x00" not in raw
+
+
+@settings(max_examples=500, deadline=None)
+@given(typed_tables())
+def test_typed_load_table_matches_exact_path_and_row_oracle(inputs):
+    text, hints = inputs
+    got = _table_state(outcome(load_table, text, "d", schema_hints=hints))
+    assert got == _table_state(_exactly(load_table, text, "d", schema_hints=hints))
+    if _by_rows_reads(text):
+        assert got == _table_state(outcome(load_table_by_rows, text, "d", schema_hints=hints))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), typed_runs(n))))
+def test_typed_load_run_matches_exact_path_and_row_oracle(inputs):
+    n, text = inputs
+    table = InformationTable.from_columns({"d": [f"k{i % 2}" for i in range(n)]}, "d")
+    got = outcome(load_run, text, table)
+    assert got == _exactly(load_run, text, table)
+    if _by_rows_reads(text):
+        assert got == outcome(load_run_by_rows, text, table)
+
+
+RAW = st.lists(st.sampled_from(list(',,,"\n\r 0123456789.e-+nafi?x\t') + [
+    "\r\n", '""', "inf", "nan", "\xa0", "\ufeff"] + TRIGGERS), max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["a,d\n", "a,b,d\n", "d\n", "d,a\r\n", "object_index,predicted\n",
+                        "# x\r\nobject_index,predicted,granule\n"]), RAW)
+def test_typed_path_matches_exact_path_on_raw_text(head, body):
+    """Quotes, line ends and number syntax in any order, mostly not CSV-shaped."""
+    if "object_index" in head:
+        table = InformationTable.from_columns({"d": ["k0", "k1", "k0"]}, "d")
+        assert outcome(load_run, head + body, table) == _exactly(load_run, head + body, table)
+    else:
+        got = _table_state(outcome(load_table, head + body, "d"))
+        assert got == _table_state(_exactly(load_table, head + body, "d"))
+
+
+def _exact_reads(load, *args, **kwargs):
+    """Times ``load`` fell back to read_columns."""
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return read_columns(*a, **k)
+
+    with mock.patch("granulens.table.read_columns", counting), \
+            mock.patch("granulens.harness.read_columns", counting):
+        outcome(load, *args, **kwargs)
+    return len(calls)
+
+
+class TestTypedPathSelection:
+    CLEAN = 'a,b,d\r\n1,-2.5e3,p\r\n\r\n" 3",nan,"q,r"\r\n+4,-0.0,p\u2028\r\n'
+
+    def test_clean_numeric_table_is_read_typed(self):
+        assert _exact_reads(load_table, self.CLEAN, "d") == 0
+        assert _exact_reads(load_table, self.CLEAN.encode("utf-8-sig"), "d") == 0
+
+    @pytest.mark.parametrize("old, new", [
+        ("-2.5e3", ""), ("-2.5e3", "?"), ("-2.5e3", "x"), ("nan", "inf"), ("a,b", '"a",b'),
+        ("+4", "1_0")] + [("+4", char + "4") for char in TRIGGERS])
+    def test_table_falls_back(self, old, new):
+        assert _exact_reads(load_table, self.CLEAN.replace(old, new, 1), "d") == 1
+
+    @pytest.mark.parametrize("text, decision", [(CLEAN, "nope"), (CLEAN.replace("b", "a", 1), "d")])
+    def test_header_errors_match_exact_path(self, text, decision):
+        assert outcome(load_table, text, decision) == _exactly(load_table, text, decision)
+        assert outcome(load_table, text, decision).startswith("DataError: ")
+
+    def test_table_with_hints_or_only_a_header_falls_back(self):
+        assert _exact_reads(load_table, self.CLEAN, "d", schema_hints={"a": "numeric"}) == 1
+        assert _exact_reads(load_table, "a,d\n\n", "d") == 1
+
+    @pytest.mark.parametrize("run_id", [None, "r"])
+    @pytest.mark.parametrize("header", [("object_index", "predicted"),
+                                        ("object_index", "predicted", "granule")])
+    def test_clean_run_is_read_typed(self, toy8, run_id, header):
+        rows = [[i, f"p,\u2028{i % 3}", f'g"{i % 2}'][:len(header)] for i in range(8)]
+        rows[3][1] = ""  # a predicted label may be empty
+        assert _exact_reads(load_run, run_csv(rows[::-1], run_id, "m", header), toy8) == 0
+
+    @pytest.mark.parametrize("column, value", [(0, ""), (0, "1.0"), (0, " 3 x")]
+                             + [(2, char) for char in TRIGGERS])
+    def test_run_falls_back(self, toy8, column, value):
+        assert _exact_reads(load_run, _run_with_cell(column, value), toy8) == 1
