@@ -109,20 +109,51 @@ def convert_cells(convert: Callable, cells: Sequence, missing: tuple = (),
             out.append(fill)
 
 
-def read_typed(text: str, header: list[str], kinds: list[str]) -> list[np.ndarray] | None:
+def _blank_filled(text: str, blank: str | None) -> str | None:
+    """``text`` with ``blank`` in every empty field if given and the text has no
+    quote, or None if a field may exceed the csv module's limit: a field lies
+    between two commas (or an end), or holds one and is a quoted str."""
+    raw = text.encode("utf-8", "surrogatepass")
+    data = np.frombuffer(raw, dtype=np.uint8)
+    commas = np.flatnonzero(data == ord(","))
+    gaps = np.diff(commas, prepend=-1, append=len(data))
+    if gaps.max() > csv.field_size_limit() + 1:
+        return None
+    if blank is None or '"' in text:
+        return text
+    # an empty field follows a comma and ends at a comma, line end or the end, or starts a line
+    before, after = data.take(commas - 1, mode="clip"), data.take(commas + 1, mode="clip")
+    at = np.sort(np.concatenate([
+        commas[(gaps[1:] == 1) | (after == ord("\n")) | (after == ord("\r"))] + 1,
+        commas[(before == ord("\n")) | (before == ord("\r"))]])).tolist()
+    if not at:
+        return text
+    edges = zip([0] + at, at + [len(raw)])
+    return blank.encode().join(raw[i:j] for i, j in edges).decode("utf-8", "surrogatepass")
+
+
+def read_typed(text: str, header: list[str], kinds: list[str],
+               blank: str | None = None) -> list[np.ndarray] | None:
     """Columns of CSV ``text``, one per dtype in ``kinds``, read by numpy's C parser.
 
     ``header`` is the text's first line split at commas. Returns None where
     the parser might not read the text as read_columns and int()/float() do,
     which then also name the line of an error: an empty or quoted first line,
     NUL or U+001C-U+001F anywhere, a cell the parser rejects, no data record,
-    or a field that may exceed the csv module's limit.
+    or a field that may exceed the csv module's limit. Given ``blank``, a text
+    without quotes is read with it in every empty field, and a text that
+    already holds it returns None.
     """
     line = ",".join(header)
-    # Python 3.10's csv rejects NUL; numpy skips U+001C-U+001F as spaces, int() does not
+    # Python 3.10's csv rejects NUL; numpy skips U+001C-U+001F as spaces, int() does
+    # not. Searching blank[0] first is a memchr, and blank's first character is rare
     if (not line or '"' in line or not text.startswith(line)
             or text[len(line):len(line) + 1] not in ("\r", "\n")
-            or any(c in text for c in "\x00\x1c\x1d\x1e\x1f")):
+            or any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
+            or blank is not None and blank[0] in text and blank in text):
+        return None
+    text = _blank_filled(text, blank)
+    if text is None:
         return None
     try:
         with warnings.catch_warnings():
@@ -132,10 +163,7 @@ def read_typed(text: str, header: list[str], kinds: list[str]) -> list[np.ndarra
     except (ValueError, TypeError, Warning):
         return None
     columns = [rows[name] for name in rows.dtype.names]
-    # a field lies between two commas (or an end), or holds one and is a quoted str
-    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    gaps = np.diff(np.flatnonzero(data == ord(",")), prepend=-1, append=len(data))
-    if gaps.max() > csv.field_size_limit() + 1 or '"' in text and any(
-            max(map(len, col)) > csv.field_size_limit() for col in columns if col.dtype == object):
+    if '"' in text and any(max(map(len, col)) > csv.field_size_limit()
+                           for col in columns if col.dtype == object):
         return None
     return columns

@@ -35,6 +35,8 @@ MISSING = _Missing()
 #: tokens in a CSV cell that denote a missing value
 _MISSING_TOKENS = ("", "?")
 _AS_MISSING = dict.fromkeys(_MISSING_TOKENS, MISSING)
+#: read_typed's text for an empty cell: float() and np.loadtxt read it as math.nan
+_BLANK = "+NaN"
 
 
 @dataclass(frozen=True)
@@ -202,12 +204,22 @@ def load_table(csv_data: bytes | str, decision_name: str,
     ``reader.read_typed`` or else by one float() call.
     """
     text = decode_text(csv_data)
-    header, blanks, ragged = re.match(r"[^\r\n]*", text).group().split(","), [], None
-    raw = None if schema_hints else read_typed(
-        text, header, ["O" if h == decision_name else "f8" for h in header])
-    # an infinity is an error naming its line, which read_columns knows
-    if raw is None or any(np.isinf(col).any() for col in raw if col.dtype != object):
+    lines = re.match(r"([^\r\n]*)[\r\n]*([^\r\n]*)", text)
+    header, blanks, ragged = lines[1].split(","), [], None
+    # kinds from the first record of a text without quotes: a word there makes its
+    # column categorical on the exact path too; a word further down fails the parse
+    first = [] if '"' in text else lines[2].split(",")
+    kinds = ["O" if name == decision_name or convert_cells(
+        float, [cell.strip()], _MISSING_TOKENS)[1] is not None else "f8"
+        for name, cell in zip(header, first + [""] * len(header))]
+    raw = None if schema_hints else read_typed(text, header, kinds, _BLANK)
+    as_missing = {**_AS_MISSING, _BLANK: MISSING}
+    # an infinity is an error naming its line, which read_columns knows; a
+    # column of blanks may be categorical
+    if raw is None or any(np.isinf(col).any() or np.isnan(col).all()
+                          for col in raw if col.dtype != object):
         header, raw, blanks, ragged = read_columns(text)
+        as_missing = _AS_MISSING
     if header is None:
         raise DataError("empty file")
     if len(set(header)) != len(header):
@@ -241,7 +253,7 @@ def load_table(csv_data: bytes | str, decision_name: str,
             lambda row: f"line {line_of(row, blanks)}")
         specs.append(spec)
         # a missing token maps to MISSING, any other cell to itself
-        columns[name] = (list(map(_AS_MISSING.get, cells, cells))
+        columns[name] = (list(map(as_missing.get, cells, cells))
                          if values is None else values)
     return InformationTable(specs, columns, decision_name, table_id=table_id)
 

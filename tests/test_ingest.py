@@ -15,7 +15,7 @@ from granulens import (MISSING, DataError, InformationTable, load_run,
                        load_table, read_curve)
 from granulens.cli import run_cli
 from granulens.reader import read_columns
-from granulens.table import factorize
+from granulens.table import _BLANK, factorize
 
 from helpers import load_run_by_rows, load_table_by_rows, run_csv
 
@@ -544,6 +544,79 @@ def test_typed_path_matches_exact_path_on_raw_text(head, body):
         assert got == _table_state(_exactly(load_table, head + body, "d"))
 
 
+#: raw cells of mixed tables: numbers, words, missing tokens and NaN spellings
+MIXED_NUMBER = st.one_of(
+    st.integers(-1000, 1000).map(str), st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.sampled_from(["-0.0", "+4", ".5", "5.", "1e-300", " 7 ", "\xa05\u3000"]))
+MIXED_WORD = st.sampled_from(["a", "b", "x y", " a ", "\u03a9", "0x1", "--", "inf1", "p\u2028q"] * 4
+                             + ["NaN", _BLANK, " " + _BLANK])
+#: cells the typed path reads as missing
+MIXED_GAP = st.sampled_from(["", "", "", "nan", "NaN", "-nan"])
+#: cells on which it falls back in a numeric column, or the sentinel anywhere
+MIXED_ODD = st.sampled_from(["?", " ", " ? ", "\t", _BLANK, " " + _BLANK, "1_0", "inf"])
+
+
+@st.composite
+def mixed_tables(draw):
+    """Tables of numeric, categorical and blank columns, written cell by cell.
+
+    A categorical column's word may sit only in row 1 or only after it; a
+    blank column holds only empty cells. Quotes and cells that make the
+    typed path fall back are rare, so about a third of the texts are read
+    typed, many of them with empty cells filled.
+    """
+    rnd = draw(st.randoms(use_true_random=True))
+    modes = draw(st.lists(st.sampled_from(
+        ["numeric"] * 4 + ["categorical"] * 2 + ["word-first", "word-late", "blank"]),
+        min_size=1, max_size=4))
+    n = draw(st.integers(1, 8))
+
+    def cell(pool):
+        return draw(MIXED_ODD if rnd.random() < 0.02 else
+                    MIXED_GAP if rnd.random() < 0.25 else pool)
+
+    columns = []
+    for mode in modes:
+        col = [cell(MIXED_WORD if mode == "categorical" else MIXED_NUMBER) for _ in range(n)]
+        if mode == "word-first":
+            col[0] = draw(MIXED_WORD)
+        elif mode == "word-late" and n > 1:
+            col[rnd.randrange(1, n)] = draw(MIXED_WORD)
+        elif mode == "blank":
+            col = [""] * n
+        columns.append(col)
+    columns.append([draw(MIXED_GAP if rnd.random() < 0.05 else MIXED_WORD) for _ in range(n)])
+    header = [f"x{i}" for i in range(len(modes))] + ["d"]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(header) - 1))  # the decision need not be last
+        header.insert(at, header.pop())
+        columns.insert(at, columns.pop())
+    rows = [list(row) for row in zip(*columns)]
+    if rnd.random() < 0.1:
+        cells = [(i, j) for i in range(n) for j in range(len(header))]
+        for i, j in rnd.sample(cells, min(len(cells), 2)):  # commas inside quotes
+            rows[i][j] = '"' + rows[i][j] + rnd.choice(["", ",", ",,", ",\n,", "\r,"]) + '"'
+    return _join(draw, rnd, [",".join(header)] + [",".join(row) for row in rows])
+
+
+@settings(max_examples=500, deadline=None)
+@given(mixed_tables())
+def test_typed_mixed_table_matches_exact_path_and_row_oracle(text):
+    got = _table_state(outcome(load_table, text, "d"))
+    assert got == _table_state(_exactly(load_table, text, "d"))
+    if _by_rows_reads(text):
+        assert got == _table_state(outcome(load_table_by_rows, text, "d"))
+
+
+def test_blank_reads_as_nan_with_the_bytes_of_math_nan():
+    """The sentinel read_typed writes into empty cells: np.loadtxt (down to the
+    declared numpy floor) and float() must both read it as math.nan."""
+    rows = np.loadtxt(io.StringIO(f"a,d\n{_BLANK},p\n"), dtype="f8,O,", delimiter=",",
+                      quotechar='"', comments=None, skiprows=1, ndmin=1)
+    nan = np.float64(math.nan).tobytes()
+    assert rows["f0"].tobytes() == np.float64(float(_BLANK)).tobytes() == nan
+
+
 def _exact_reads(load, *args, **kwargs):
     """Times ``load`` fell back to read_columns."""
     calls = []
@@ -592,3 +665,37 @@ class TestTypedPathSelection:
                              + [(2, char) for char in TRIGGERS])
     def test_run_falls_back(self, toy8, column, value):
         assert _exact_reads(load_run, _run_with_cell(column, value), toy8) == 1
+
+    # the sweep benchmark's table in small: blanks at the start, inside and at
+    # the end of lines, a categorical column and a decision of words
+    MIXED = "x0,c0,x1,y,x2\n0.5,c1,,no,\n,c0,-1.25,yes,3\n\n1e-3,c1,2,no,nan\n-0.0,c2,7,yes,4\n"
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+    def test_mixed_table_with_blanks_is_read_typed(self, eol):
+        text = self.MIXED.replace("\n", eol)
+        for variant in (text, text.encode("utf-8-sig"), text + "5,c0,1,no,"):
+            assert _exact_reads(load_table, variant, "y") == 0
+            got = _table_state(outcome(load_table, variant, "y"))
+            assert got == _table_state(_exactly(load_table, variant, "y"))
+        table = load_table(text, "y")
+        assert [a.kind[0] for a in table.attributes] == list("ncncn")
+        assert table.column("c0") == ["c1", "c0", "c1", "c2"]
+        assert np.isnan(table.column("x2")[[0, 2]]).all()
+
+    @pytest.mark.parametrize("old, new", [
+        ("1e-3", _BLANK), ("c2", _BLANK), ("1e-3", "?"), ("1e-3", " "), ("1e-3", "w"),
+        ("c0,-1", '"c0",-1')])
+    def test_mixed_table_falls_back(self, old, new):
+        text = self.MIXED.replace(old, new, 1)
+        assert _exact_reads(load_table, text, "y") == 1
+
+    def test_all_blank_numeric_column_falls_back(self):
+        text = "x0,c0,x1,y\n0.5,c1,,no\n,c0,,yes\n"
+        assert _exact_reads(load_table, text, "y") == 1
+        assert load_table(text, "y").attribute("x1").kind == "categorical"
+
+    def test_late_blank_stays_typed(self):
+        text = "a,b,d\n" + "".join(f"{i / 7!r},{i % 5},{i % 2}\n" for i in range(300))
+        text += "0.5,,1\n"
+        assert _exact_reads(load_table, text, "d") == 0
+        assert np.isnan(load_table(text, "d").column("b")[-1])
