@@ -36,16 +36,6 @@ class Distribution:
         return cls(dict(Counter(tokens)))
 
 
-def _entropy_of_counts(counts: np.ndarray) -> float:
-    total = counts.sum()
-    h = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / total
-            h -= p * math.log2(p)
-    return float(max(h, 0.0))
-
-
 def shannon(dist: Distribution) -> float:
     """H = -sum p_i log2 p_i over the distribution's support."""
     total = dist.total
@@ -53,8 +43,9 @@ def shannon(dist: Distribution) -> float:
         raise DataError("cannot take entropy of an empty distribution")
     if any(c < 0 for c in dist.counts.values()):
         raise DataError("negative count in distribution")
-    return _entropy_of_counts(np.asarray(
-        [c for c in dist.counts.values() if c > 0], dtype=np.int64))
+    counts = [c for c in dist.counts.values() if c > 0]
+    _, h = _block_entropies(np.asarray([counts], dtype=np.int64))
+    return max(0.0, float(h[0]))  # one class: +0.0, not the -0.0 of -1 * log2(1)
 
 
 def joint(labels_x: Sequence, labels_y: Sequence) -> float:

@@ -110,16 +110,15 @@ def convert_cells(convert: Callable, cells: Sequence, missing: tuple = (),
 
 
 def _blank_filled(text: str, blank: str | None) -> str | None:
-    """``text`` with ``blank`` in every empty field if given and the text has no
-    quote, or None if a field may exceed the csv module's limit: a field lies
-    between two commas (or an end), or holds one and is a quoted str."""
+    """``text`` with ``blank`` in every empty field if given, or None if a field
+    may exceed the csv module's limit: a field lies between two commas (or an end)."""
     raw = text.encode("utf-8", "surrogatepass")
     data = np.frombuffer(raw, dtype=np.uint8)
     commas = np.flatnonzero(data == ord(","))
     gaps = np.diff(commas, prepend=-1, append=len(data))
     if gaps.max() > csv.field_size_limit() + 1:
         return None
-    if blank is None or '"' in text:
+    if blank is None:
         return text
     # an empty field follows a comma and ends at a comma, line end or the end, or starts a line
     before, after = data.take(commas - 1, mode="clip"), data.take(commas + 1, mode="clip")
@@ -138,16 +137,16 @@ def read_typed(text: str, header: list[str], kinds: list[str],
 
     ``header`` is the text's first line split at commas. Returns None where
     the parser might not read the text as read_columns and int()/float() do,
-    which then also name the line of an error: an empty or quoted first line,
-    NUL or U+001C-U+001F anywhere, a cell the parser rejects, no data record,
-    or a field that may exceed the csv module's limit. Given ``blank``, a text
-    without quotes is read with it in every empty field, and a text that
-    already holds it returns None.
+    which then also name the line of an error: a ``"`` anywhere (quoted
+    fields are the csv module's), an empty first line, NUL or U+001C-U+001F
+    anywhere, a cell the parser rejects, no data record, or a field that may
+    exceed the csv module's limit. Given ``blank``, the text is read with it
+    in every empty field, and a text that already holds it returns None.
     """
     line = ",".join(header)
     # Python 3.10's csv rejects NUL; numpy skips U+001C-U+001F as spaces, int() does
     # not. Searching blank[0] first is a memchr, and blank's first character is rare
-    if (not line or '"' in line or not text.startswith(line)
+    if (not line or '"' in text or not text.startswith(line)
             or text[len(line):len(line) + 1] not in ("\r", "\n")
             or any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
             or blank is not None and blank[0] in text and blank in text):
@@ -159,11 +158,7 @@ def read_typed(text: str, header: list[str], kinds: list[str],
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data", deprecations
             rows = np.loadtxt(io.StringIO(text, newline=""), dtype=",".join(kinds) + ",",
-                              delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1)
+                              delimiter=",", comments=None, skiprows=1, ndmin=1)
     except (ValueError, TypeError, Warning):
         return None
-    columns = [rows[name] for name in rows.dtype.names]
-    if '"' in text and any(max(map(len, col)) > csv.field_size_limit()
-                           for col in columns if col.dtype == object):
-        return None
-    return columns
+    return [rows[name] for name in rows.dtype.names]

@@ -90,7 +90,7 @@ class InformationTable:
         for spec in self.attributes:
             col = columns[spec.name]
             if spec.kind == "numeric":
-                values, bad = _float_column(col, (MISSING,))
+                values, bad = _float_column(col)
                 if bad is not None:
                     raise _unparsable(spec.name, bad, col[bad])
                 self._columns[spec.name] = values
@@ -100,7 +100,7 @@ class InformationTable:
         dec_spec = self._spec_by_name[decision]
         if dec_spec.kind != "categorical":
             raise DataError("decision attribute must be categorical")
-        if any(v is MISSING for v in self._columns[decision]):
+        if MISSING in self._columns[decision]:
             raise DataError("decision column contains MISSING values")
 
     def attribute(self, name: str) -> AttributeSpec:
@@ -132,18 +132,14 @@ class InformationTable:
     def from_columns(cls, columns: Mapping[str, Sequence], decision: str,
                      kinds: Mapping[str, str] | None = None,
                      table_id: str = "") -> "InformationTable":
-        """Build a table from in-memory columns, inferring kinds like the CSV loader.
+        """Build a table from in-memory columns, typing them like the CSV loader.
 
         MISSING and NaN are missing values; an infinity in a numeric column
         is a DataError. Integer and float ndarrays are copied in one step.
+        ``kinds`` overrides the inferred kind of a condition column, as
+        ``load_table``'s ``schema_hints`` do.
         """
-        kinds = dict(kinds or {})
-        specs, typed = [], {}
-        for name, col in columns.items():
-            kind = "categorical" if name == decision else (kinds.get(name) or None)
-            spec, values = _typed_column(name, col, kind, (MISSING,), "row {}".format)
-            specs.append(spec)
-            typed[name] = col if values is None else values
+        specs, typed = _typed_columns(columns, decision, kinds or {}, "row {}".format)
         return cls(specs, typed, decision, table_id=table_id)
 
 
@@ -152,27 +148,45 @@ def _unparsable(name: str, row: int, cell) -> DataError:
                      f"has unparsable cell {cell!r}")
 
 
-def _float_column(cells: Sequence, missing: tuple) -> tuple[np.ndarray, int | None]:
-    """Cells as float64 with NaN for missing, and the first unparsable row or None."""
+def _float_column(cells: Sequence) -> tuple[np.ndarray, int | None]:
+    """Cells as float64 with NaN for MISSING, and the first unparsable row or None."""
     if isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu":
         return cells.astype(np.float64), None
-    values, bad = convert_cells(float, cells, missing, math.nan)
+    values, bad = convert_cells(float, cells, (MISSING,), math.nan)
     return np.array(values, dtype=np.float64), bad
 
 
-def _typed_column(name: str, cells: Sequence, kind: str | None, missing: tuple,
+def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mapping[str, str],
+                   where: Callable[[int], str]) -> tuple[list[AttributeSpec], dict]:
+    """Specs and values of ``columns``: the decision is categorical, and a
+    condition column takes its kind from ``kinds`` or infers it."""
+    for name in kinds:
+        if name not in columns:
+            raise DataError(f"schema hint for unknown column {name!r}")
+    specs, typed = [], {}
+    for name, cells in columns.items():
+        kind = "categorical" if name == decision else kinds.get(name)
+        if name in kinds and kind not in ("categorical", "numeric"):
+            raise DataError(f"invalid kind {kind!r} for column {name!r}")
+        spec, values = _typed_column(name, cells, kind, where)
+        specs.append(spec)
+        typed[name] = cells if values is None else values
+    return specs, typed
+
+
+def _typed_column(name: str, cells: Sequence, kind: str | None,
                   where: Callable[[int], str]) -> tuple[AttributeSpec, np.ndarray | None]:
     """Spec and float values of one column; values is None unless it is numeric.
 
-    ``kind`` None infers it: numeric iff some cell is not in ``missing``
-    and every such cell parses with float(). NaN is missing. An infinity
-    in a numeric column is a DataError; ``where(row)`` names its place.
-    The range takes the first minimal and maximal values in row order, as
-    Python's min and max do, so a zero keeps the sign it has first.
+    ``kind`` None infers it: numeric iff some cell is not MISSING and every
+    such cell parses with float(). NaN is missing. An infinity in a numeric
+    column is a DataError; ``where(row)`` names its place. The range takes
+    the first minimal and maximal values in row order, as Python's min and
+    max do, so a zero keeps the sign it has first.
     """
-    if kind not in (None, "numeric"):
+    if kind == "categorical":
         return AttributeSpec(name, kind), None
-    values, bad = _float_column(cells, missing)
+    values, bad = _float_column(cells)
     if bad is not None and kind is None:
         return AttributeSpec(name, "categorical"), None
     infinite = np.flatnonzero(np.isinf(values))
@@ -184,7 +198,7 @@ def _typed_column(name: str, cells: Sequence, kind: str | None, missing: tuple,
         raise _unparsable(name, bad, cells[bad])
     present = values[~np.isnan(values)]
     if not len(present):
-        if kind is None and all(cell in missing for cell in cells):
+        if kind is None and all(cell is MISSING for cell in cells):
             return AttributeSpec(name, "categorical"), None
         return AttributeSpec(name, "numeric"), values
     rng = (float(present[present.argmin()]), float(present[present.argmax()]))
@@ -206,12 +220,11 @@ def load_table(csv_data: bytes | str, decision_name: str,
     text = decode_text(csv_data)
     lines = re.match(r"([^\r\n]*)[\r\n]*([^\r\n]*)", text)
     header, blanks, ragged = lines[1].split(","), [], None
-    # kinds from the first record of a text without quotes: a word there makes its
-    # column categorical on the exact path too; a word further down fails the parse
-    first = [] if '"' in text else lines[2].split(",")
+    # kinds from the first record: a word there makes its column categorical
+    # on the exact path too; a word further down fails the parse
     kinds = ["O" if name == decision_name or convert_cells(
         float, [cell.strip()], _MISSING_TOKENS)[1] is not None else "f8"
-        for name, cell in zip(header, first + [""] * len(header))]
+        for name, cell in zip(header, lines[2].split(",") + [""] * len(header))]
     raw = None if schema_hints else read_typed(text, header, kinds, _BLANK)
     as_missing = {**_AS_MISSING, _BLANK: MISSING}
     # an infinity is an error naming its line, which read_columns knows; a
@@ -232,30 +245,15 @@ def load_table(csv_data: bytes | str, decision_name: str,
     if not len(raw[0]):
         raise DataError("empty file: no data rows")
 
-    hints = dict(schema_hints or {})
-    for name in hints:
-        if name not in header:
-            raise DataError(f"schema hint for unknown column {name!r}")
-
-    specs, columns = [], {}
+    columns = {}
     for name, cells in zip(header, raw):
         if not isinstance(cells, np.ndarray) or cells.dtype == object:
             cells = list(map(str.strip, cells))
-        kind = None
-        if name == decision_name:
-            kind = "categorical"
-        elif name in hints:
-            kind = hints[name]
-            if kind not in ("categorical", "numeric"):
-                raise DataError(f"invalid kind {kind!r} for column {name!r}")
-        spec, values = _typed_column(
-            name, cells, kind, _MISSING_TOKENS,
-            lambda row: f"line {line_of(row, blanks)}")
-        specs.append(spec)
-        # a missing token maps to MISSING, any other cell to itself
-        columns[name] = (list(map(as_missing.get, cells, cells))
-                         if values is None else values)
-    return InformationTable(specs, columns, decision_name, table_id=table_id)
+            cells = list(map(as_missing.get, cells, cells))  # a missing token to MISSING
+        columns[name] = cells
+    specs, typed = _typed_columns(columns, decision_name, schema_hints or {},
+                                  lambda row: f"line {line_of(row, blanks)}")
+    return InformationTable(specs, typed, decision_name, table_id=table_id)
 
 
 def factorize(tokens: Iterable) -> np.ndarray:

@@ -13,6 +13,7 @@ CSV loader oracles walk the input row by row and cell by cell.
 
 import csv
 import io
+import math
 import random
 import re
 
@@ -287,6 +288,16 @@ def granular_entropy_by_dot(partition, labels):
     weights = sizes / partition.n
     per_block = list(zip(range(partition.block_count), weights.tolist(), block_h.tolist()))
     return per_block, float(np.dot(weights, block_h))
+
+
+def shannon_by_loop(counts):
+    """H in bits by a Python loop over the positive counts, as shannon once computed it."""
+    total = sum(counts)
+    h = 0.0
+    for c in counts:
+        if c > 0:
+            h -= c / total * math.log2(c / total)
+    return max(h, 0.0)
 
 
 def _infer_kind(col):

@@ -32,7 +32,7 @@ from granulens import (
 from granulens.cli import run_cli
 
 from helpers import (granular_entropy_by_dot, random_attr_subset, random_table,
-                     random_view)
+                     random_view, shannon_by_loop)
 
 TOL = 1e-9
 
@@ -42,7 +42,8 @@ class TestShannon:
         assert shannon(Distribution({"A": 4, "B": 4})) == pytest.approx(1.0, abs=TOL)
 
     def test_degenerate(self):
-        assert shannon(Distribution({"A": 8})) == 0.0
+        h = shannon(Distribution({"A": 8, "B": 0}))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_dyadic(self):
         assert shannon(Distribution({"A": 4, "B": 2, "C": 2})) == pytest.approx(1.5, abs=TOL)
@@ -50,6 +51,15 @@ class TestShannon:
     def test_five_three(self):
         # direct evaluation: -(5/8)log2(5/8) - (3/8)log2(3/8)
         assert shannon(Distribution({"A": 5, "B": 3})) == pytest.approx(0.954434, abs=1e-6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40).filter(any))
+    def test_matches_loop_oracle(self, counts):
+        """Vectorized, H may differ from the loop in its last bits (numpy's log2
+        and summation order), never by more."""
+        h = shannon(Distribution(dict(enumerate(counts))))
+        assert h == pytest.approx(shannon_by_loop(counts), rel=1e-13, abs=1e-300)
+        assert math.copysign(1.0, h) == 1.0
 
     def test_empty_total_rejected(self):
         with pytest.raises(DataError):

@@ -200,6 +200,40 @@ class TestNonFiniteAndNan:
         assert "x: numeric range [1, 3]" in capsys.readouterr().out
 
 
+class TestKindsAndTotalDecision:
+    """from_columns types columns by load_table's rules, and a missing decision
+    cell is an error on either loader and either read path."""
+
+    @pytest.mark.parametrize("kinds, message", [
+        ({"x": "Numeric"}, "invalid kind 'Numeric' for column 'x'"),
+        ({"x": ""}, "invalid kind '' for column 'x'"),
+        ({"zz": "numeric"}, "schema hint for unknown column 'zz'")])
+    def test_kinds_are_checked_like_schema_hints(self, kinds, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            InformationTable.from_columns({"x": ["1", "2"], "d": ["p", "q"]}, "d", kinds=kinds)
+        assert outcome(load_table, "x,d\n1,p\n2,q\n", "d", schema_hints=kinds) == (
+            f"DataError: {message}")
+
+    def test_kind_for_the_decision_is_ignored(self):
+        table = InformationTable.from_columns({"x": [1, 2], "d": [1, 2]}, "d",
+                                              kinds={"d": "numeric"})
+        assert table.attribute("d").kind == "categorical"
+
+    @pytest.mark.parametrize("cell", ["", "?", " ", " ? "])
+    @pytest.mark.parametrize("quoted", [False, True])
+    def test_missing_decision_cell_is_data_error(self, cell, quoted):
+        text = f"x,d\n1,p\n2,{cell}\n3,q\n"
+        if quoted:
+            text = text.replace("1,p", '1,"p"')
+        assert _exact_reads(load_table, text, "d") == quoted
+        assert outcome(load_table, text, "d") == (
+            "DataError: decision column contains MISSING values")
+
+    def test_missing_decision_value_from_columns_is_data_error(self):
+        with pytest.raises(DataError, match="decision column contains MISSING values"):
+            InformationTable.from_columns({"x": [1, 2], "d": ["p", MISSING]}, "d")
+
+
 class TestRunFaults:
     @pytest.mark.parametrize("header, bad", [
         (("object_index", "predicted", "granules"), "granules"),
@@ -612,7 +646,7 @@ def test_blank_reads_as_nan_with_the_bytes_of_math_nan():
     """The sentinel read_typed writes into empty cells: np.loadtxt (down to the
     declared numpy floor) and float() must both read it as math.nan."""
     rows = np.loadtxt(io.StringIO(f"a,d\n{_BLANK},p\n"), dtype="f8,O,", delimiter=",",
-                      quotechar='"', comments=None, skiprows=1, ndmin=1)
+                      comments=None, skiprows=1, ndmin=1)
     nan = np.float64(math.nan).tobytes()
     assert rows["f0"].tobytes() == np.float64(float(_BLANK)).tobytes() == nan
 
@@ -632,19 +666,26 @@ def _exact_reads(load, *args, **kwargs):
 
 
 class TestTypedPathSelection:
-    CLEAN = 'a,b,d\r\n1,-2.5e3,p\r\n\r\n" 3",nan,"q,r"\r\n+4,-0.0,p\u2028\r\n'
+    # a blank line, a blank cell, and a column whose only number is -2.5e3
+    CLEAN = "a,b,d\r\n1,nan,p\r\n\r\n 3,-2.5e3,q;r\r\n+4,,p\u2028\r\n"
+    QUOTED = 'a,b,d\r\n1,-2.5e3,p\r\n\r\n" 3",nan,"q,r"\r\n+4,-0.0,p\u2028\r\n'
 
     def test_clean_numeric_table_is_read_typed(self):
         assert _exact_reads(load_table, self.CLEAN, "d") == 0
         assert _exact_reads(load_table, self.CLEAN.encode("utf-8-sig"), "d") == 0
+        got = _table_state(outcome(load_table, self.CLEAN, "d"))
+        assert got == _table_state(_exactly(load_table, self.CLEAN, "d"))
 
     @pytest.mark.parametrize("old, new", [
         ("-2.5e3", ""), ("-2.5e3", "?"), ("-2.5e3", "x"), ("nan", "inf"), ("a,b", '"a",b'),
-        ("+4", "1_0")] + [("+4", char + "4") for char in TRIGGERS])
+        ("+4", "1_0"), (" 3,-2.5e3,q;r", '" 3",-2.5e3,"q,r"')]
+        + [("+4", char + "4") for char in TRIGGERS])
     def test_table_falls_back(self, old, new):
         assert _exact_reads(load_table, self.CLEAN.replace(old, new, 1), "d") == 1
 
-    @pytest.mark.parametrize("text, decision", [(CLEAN, "nope"), (CLEAN.replace("b", "a", 1), "d")])
+    @pytest.mark.parametrize("text, decision", [
+        (QUOTED, "nope"), (QUOTED.replace("b", "a", 1), "d"),
+        (CLEAN, "nope"), (CLEAN.replace("b", "a", 1), "d")])
     def test_header_errors_match_exact_path(self, text, decision):
         assert outcome(load_table, text, decision) == _exactly(load_table, text, decision)
         assert outcome(load_table, text, decision).startswith("DataError: ")
@@ -657,11 +698,12 @@ class TestTypedPathSelection:
     @pytest.mark.parametrize("header", [("object_index", "predicted"),
                                         ("object_index", "predicted", "granule")])
     def test_clean_run_is_read_typed(self, toy8, run_id, header):
-        rows = [[i, f"p,\u2028{i % 3}", f'g"{i % 2}'][:len(header)] for i in range(8)]
+        rows = [[i, f"p;\u2028{i % 3}", f"g'{i % 2}"][:len(header)] for i in range(8)]
         rows[3][1] = ""  # a predicted label may be empty
         assert _exact_reads(load_run, run_csv(rows[::-1], run_id, "m", header), toy8) == 0
 
-    @pytest.mark.parametrize("column, value", [(0, ""), (0, "1.0"), (0, " 3 x")]
+    @pytest.mark.parametrize("column, value", [(0, ""), (0, "1.0"), (0, " 3 x"),
+                                               (1, '"p,\u20281"'), (2, '"g""1"')]
                              + [(2, char) for char in TRIGGERS])
     def test_run_falls_back(self, toy8, column, value):
         assert _exact_reads(load_run, _run_with_cell(column, value), toy8) == 1
