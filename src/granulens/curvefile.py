@@ -24,18 +24,21 @@ def fmt(x: float) -> str:
 
 
 def write_atomic(path: str, data: str | bytes) -> None:
-    """Write to a sibling temp file, then rename: no partial outputs."""
+    """Write to a sibling temp file, then rename: no partial outputs. An
+    OSError names ``path``, never the temp file, which is removed."""
     directory = os.path.dirname(os.path.abspath(path))
     mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".granulens-tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".granulens-tmp-")
         with os.fdopen(fd, mode) as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def curve_to_csv(curve: SweepCurve) -> str:

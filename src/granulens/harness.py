@@ -127,12 +127,8 @@ def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:
     truth = table.decision_labels
     correct = sum(1 for p, t in zip(run.predicted, truth) if str(p) == str(t))
 
-    if run.granule is not None:
-        part = Partition.from_labels(run.granule)
-        fallback = False
-    else:
-        part = Partition.from_labels(run.predicted)
-        fallback = True
+    fallback = run.granule is None
+    part = Partition.from_labels(run.predicted if fallback else run.granule)
     report = granular_entropy(part, table.decision_codes)
     bf = report.boundary_fraction
     return EvalReport(run.run_id, correct / n, report.conditional_bits,

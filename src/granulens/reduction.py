@@ -8,8 +8,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DataError
-from .table import DiscreteView, factorize, partition_by, refine
-from .rough import _label_matrix, _positive_count, dependency
+from .table import _DENSE, DiscreteView, factorize, partition_by, refine
+from .rough import _class_counts, _label_matrix, _positive_count, dependency
 from .entropy import _conditional_bits, conditional, shannon, Distribution
 
 
@@ -38,7 +38,8 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     At each step the attribute with the largest gamma gain is added; ties
     break on the larger drop in conditional decision entropy, then on
     declaration order. On an inconsistent table (gamma over all attributes
-    below 1) every attribute is returned unchanged.
+    below 1) every attribute is returned unchanged. A candidate's gamma and
+    H(D|P) come from one count by its key ``block * w + code``; only picks are refined.
     """
     names = view.condition_names
     if not names:
@@ -49,8 +50,8 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     if gamma_full < 1:
         return ReductResult(list(names), gamma_full, gamma_full, [])
 
-    selected: list[str] = []
-    trace: list[ReductStep] = []
+    n, k = len(labels), int(labels.max()) + 1
+    selected, trace = [], []  # picked names, one ReductStep each
     chosen = partition_by(view, selected)
     gamma_cur = dependency(chosen, labels)
     while gamma_cur < gamma_full:
@@ -58,13 +59,18 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
         for name in names:
             if name in selected:
                 continue
-            part = refine(chosen, [view.codes_for(name)])
-            counts = _label_matrix(part, labels)  # gamma and H(D|P) share one count
-            key = (-Fraction(_positive_count(counts), part.n),
-                   _conditional_bits(counts, part.n))
+            col = view.codes_for(name)
+            w = int(col.max()) + 1
+            if chosen.block_count * w * k <= _DENSE * n:  # count rows stay O(n)
+                counts = _class_counts(chosen.block_of * w + col, chosen.block_count * w,
+                                       labels, k)
+            else:
+                counts = _label_matrix(refine(chosen, [col]), labels)
+            key = (-Fraction(_positive_count(counts), n), _conditional_bits(counts, n))
             if best is None or key < best[0]:
-                best = (key, name, part)
-        (neg_gamma, cond_bits), name, chosen = best
+                best = (key, name)
+        (neg_gamma, cond_bits), name = best
+        chosen = refine(chosen, [view.codes_for(name)])
         selected.append(name)
         gamma_cur = -neg_gamma
         trace.append(ReductStep(name, gamma_cur, cond_bits))

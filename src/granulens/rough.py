@@ -88,10 +88,12 @@ def _label_matrix(partition: Partition, labels: Sequence) -> np.ndarray:
     if partition.n == 0:
         raise DataError("empty label set")
     codes = factorize(labels)
-    k = int(codes.max()) + 1
-    counts = np.bincount(partition.block_of * k + codes,
-                         minlength=partition.block_count * k)
-    return counts.reshape(partition.block_count, k)
+    return _class_counts(partition.block_of, partition.block_count, codes, int(codes.max()) + 1)
+
+
+def _class_counts(keys: np.ndarray, key_count: int, codes: np.ndarray, k: int) -> np.ndarray:
+    """(key x class) count matrix; a key below ``key_count`` no object has is a zero row."""
+    return np.bincount(keys * k + codes, minlength=key_count * k).reshape(key_count, k)
 
 
 def _mixed(counts: np.ndarray) -> np.ndarray:

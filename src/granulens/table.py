@@ -37,6 +37,8 @@ _MISSING_TOKENS = ("", "?")
 _AS_MISSING = dict.fromkeys(_MISSING_TOKENS, MISSING)
 #: read_typed's text for an empty cell: float() and np.loadtxt read it as math.nan
 _BLANK = "+NaN"
+#: arrays indexed by key stay below _DENSE * n slots: factorize's relabel, greedy counts
+_DENSE = 8
 
 
 @dataclass(frozen=True)
@@ -260,14 +262,23 @@ def factorize(tokens: Iterable) -> np.ndarray:
     """Integer codes for a token sequence, ordinals by first occurrence.
 
     An integer ndarray that already holds such codes is returned as int64
-    without a copy.
+    without a copy. Any other is relabelled in one pass over max + 1 slots,
+    once ``np.unique`` has ranked a range that is negative or reaches
+    ``_DENSE * len(tokens)``. Other sequences go through a dict of tokens.
     """
     if (isinstance(tokens, np.ndarray) and tokens.ndim == 1
             and np.issubdtype(tokens.dtype, np.integer)):
-        if _first_occurrence_coded(tokens):
-            return tokens.astype(np.int64, copy=False)
-        _, inverse = np.unique(tokens, return_inverse=True)
-        return _first_occurrence_ids(inverse.astype(np.int64, copy=False))
+        n, keys = len(tokens), tokens
+        if not n or int(keys.min()) < 0 or int(keys.max()) >= _DENSE * n:
+            _, keys = np.unique(tokens, return_inverse=True)  # ranks, below n
+        elif keys[0] == 0 and (keys[1:] <= np.maximum.accumulate(keys)[:-1] + 1).all():
+            return keys.astype(np.int64, copy=False)  # each at most one above all before it
+        rows = np.arange(n)
+        first = np.full(int(keys.max()) + 1 if n else 0, n, dtype=np.int64)
+        np.minimum.at(first, keys, rows)  # each key's first row
+        leaders = keys[first[keys] == rows]  # in row order
+        first[leaders] = np.arange(len(leaders))  # now each key's id
+        return first[keys]
     seen: dict = {}
     codes = []
     for t in tokens:
@@ -304,7 +315,7 @@ def discretize(table: InformationTable, scheme: GranulationScheme) -> DiscreteVi
     Numeric value v with observed range [lo, hi] and b bits maps to
     floor((v-lo) / ((hi-lo)/2**b)), clamped to 2**b - 1 at the top edge;
     MISSING maps to the dedicated code 2**b. Categorical values map to
-    first-occurrence ordinals regardless of bits.
+    first-occurrence ordinals regardless of bits, the decision's cached.
     """
     for name, b in scheme.bits.items():
         spec = table.attribute(name)
@@ -322,7 +333,7 @@ def discretize(table: InformationTable, scheme: GranulationScheme) -> DiscreteVi
             cols.append(_bin_numeric(np.asarray(col), spec.observed_range,
                                      scheme.bits_for(spec.name)))
         else:
-            cols.append(factorize(col))
+            cols.append(table.decision_codes if spec.name == table.decision else factorize(col))
     codes = np.column_stack(cols)
     index = {a.name: i for i, a in enumerate(table.attributes)}
     return DiscreteView(table, scheme, codes, index)
@@ -384,33 +395,15 @@ class Partition:
         return cls(np.zeros(n, dtype=np.int64))
 
 
-def _first_occurrence_coded(codes: np.ndarray) -> bool:
-    """True iff codes start at 0 and each is at most one above all before it."""
-    if not len(codes) or codes[0] != 0 or codes.min() < 0:
-        return False
-    return bool((codes[1:] <= np.maximum.accumulate(codes)[:-1] + 1).all())
-
-
-def _first_occurrence_ids(group_ids: np.ndarray) -> np.ndarray:
-    """Relabel arbitrary group ids so ids follow first occurrence in object order."""
-    n = len(group_ids)
-    k = int(group_ids.max()) + 1 if n else 0
-    first = np.full(k, n, dtype=np.int64)
-    np.minimum.at(first, group_ids, np.arange(n))
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(k, dtype=np.int64)
-    rank[order] = np.arange(k)
-    return rank[group_ids]
-
-
 def refine(partition: Partition, columns: Sequence[np.ndarray]) -> Partition:
     """Split every block of ``partition`` by the non-negative codes of each column.
 
     A column of width w = ``int(col.max()).bit_length()`` joins the key as
     ``key << w | col``; columns are packed next to the block ids as many at
     a time as fit in 63 bits, and each packed key is relabelled to
-    first-occurrence ids by ``factorize``. A column too wide to fit beside
-    the block ids is factorized first, which fits for fewer than 2**31 rows.
+    first-occurrence ids by ``factorize``, without a sort below ``_DENSE * n``.
+    A column too wide to fit beside the block ids is factorized first,
+    which fits for fewer than 2**31 rows.
     """
     keys, packed = partition.block_of, False  # packed: keys hold columns not yet relabelled
     used = (partition.block_count - 1).bit_length()  # bits the keys take

@@ -6,7 +6,9 @@ The partition oracles are the per-attribute ``np.unique`` fold and the
 sweep's packed-key refinement that ``table.refine`` replaced. The sweep
 oracle rebuilds every level from scratch with the fold instead of refining.
 The reduct and run-evaluation oracles count on the decision's token labels
-and build a separate partition for each metric. The granular-entropy
+and build a separate partition for each metric, or one refined partition
+per greedy candidate. The relabel oracle ranks integer keys with
+``np.unique`` and orders the ranks by an argsort of their first rows. The granular-entropy
 oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
 CSV loader oracles walk the input row by row and cell by cell.
 """
@@ -16,6 +18,7 @@ import io
 import math
 import random
 import re
+from fractions import Fraction
 
 import numpy as np
 
@@ -24,9 +27,10 @@ from granulens import (MISSING, AttributeSpec, DataError, EvalReport,
                        ReductResult, SweepPoint, conditional, dependency,
                        discretize, granular_entropy, load_table)
 from granulens.reader import decode_text
+from granulens.entropy import _conditional_bits
 from granulens.reduction import ReductStep
-from granulens.rough import _label_matrix, region_fractions
-from granulens.table import factorize
+from granulens.rough import _label_matrix, _positive_count, region_fractions
+from granulens.table import factorize, partition_by, refine
 
 
 def random_table(rng: random.Random, max_n=32, max_attrs=5, max_classes=4,
@@ -263,6 +267,55 @@ def greedy_reduct_two_partitions(view, decision_labels):
         if gamma_of(remaining) == gamma_full:
             selected = remaining
     return ReductResult(selected, gamma_of(selected), gamma_full, trace)
+
+
+def greedy_reduct_by_refine(view, decision_labels):
+    """greedy_reduct with a refined partition and one count for every candidate."""
+    names = view.condition_names
+    if not names:
+        raise DataError("no condition attributes to reduce over")
+    labels = factorize(decision_labels)
+    gamma_full = dependency(partition_by(view, names), labels)
+    if gamma_full < 1:
+        return ReductResult(list(names), gamma_full, gamma_full, [])
+    selected, trace = [], []
+    chosen = partition_by(view, selected)
+    gamma_cur = dependency(chosen, labels)
+    while gamma_cur < gamma_full:
+        best = None
+        for name in names:
+            if name in selected:
+                continue
+            part = refine(chosen, [view.codes_for(name)])
+            counts = _label_matrix(part, labels)
+            key = (-Fraction(_positive_count(counts), part.n),
+                   _conditional_bits(counts, part.n))
+            if best is None or key < best[0]:
+                best = (key, name, part)
+        (neg_gamma, cond_bits), name, chosen = best
+        selected.append(name)
+        gamma_cur = -neg_gamma
+        trace.append(ReductStep(name, gamma_cur, cond_bits))
+    for name in reversed(list(selected)):
+        remaining = [a for a in selected if a != name]
+        if dependency(partition_by(view, remaining), labels) == gamma_full:
+            selected = remaining
+    return ReductResult(selected, dependency(partition_by(view, selected), labels),
+                        gamma_full, trace)
+
+
+def factorize_by_unique(keys):
+    """First-occurrence ids of an integer array: np.unique ranks, ordered by
+    an argsort of each rank's first row."""
+    _, ranks = np.unique(keys, return_inverse=True)
+    ranks = ranks.reshape(-1)
+    n, k = len(ranks), int(ranks.max()) + 1 if len(ranks) else 0
+    first = np.full(k, n, dtype=np.int64)
+    np.minimum.at(first, ranks, np.arange(n))
+    order = np.argsort(first, kind="stable")
+    ids = np.empty(k, dtype=np.int64)
+    ids[order] = np.arange(k)
+    return ids[ranks]
 
 
 def evaluate_run_on_tokens(table, run):

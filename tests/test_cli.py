@@ -180,6 +180,18 @@ class TestOtherCommands:
         assert run_cli([cmd, str(toy8_file), "--decision", "d", "--bits", "63", *attrs]) == 2
         assert "exceeds 62" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd, flag", [("sweep", "--out"), ("sweep", "--svg"),
+                                           ("reduce", "--out")])
+    def test_output_path_naming_a_directory_exit_2(self, tmp_path, toy8_file, capsys,
+                                                   cmd, flag):
+        target = tmp_path / "taken"
+        target.mkdir()
+        attrs = ["--attrs", "a2", "--bits", "0..2"] if cmd == "sweep" else ["--bits", "2"]
+        assert run_cli([cmd, str(toy8_file), "--decision", "d", *attrs, flag, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(target)!r}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken", "toy8.csv"]
+
 
 def test_sweep_range_wider_than_dbl_max_splits_under_warnings_as_errors(tmp_path):
     table = tmp_path / "wide.csv"

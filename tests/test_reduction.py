@@ -20,7 +20,8 @@ from granulens import (
     dependency,
 )
 
-from helpers import greedy_reduct_two_partitions, random_table, random_view
+from helpers import (greedy_reduct_by_refine, greedy_reduct_two_partitions, random_table,
+                     random_view)
 
 
 def toy8_view(toy8):
@@ -111,11 +112,11 @@ class TestEntropyRank:
                 assert gain >= -1e-9
 
 
-def _consistent_table(rng, max_n=24, max_attrs=6):
+def _consistent_table(rng, max_n=24, max_attrs=6, values="uvw"):
     """Categorical table whose decision is a function of some attributes."""
     n = rng.randint(2, max_n)
     m = rng.randint(1, max_attrs)
-    cols = [[rng.choice("uvw") for _ in range(n)] for _ in range(m)]
+    cols = [[rng.choice(values) for _ in range(n)] for _ in range(m)]
     deps = rng.sample(range(m), rng.randint(1, m))
     mapping = {}
     labels = []
@@ -164,7 +165,8 @@ def test_greedy_matches_two_partition_oracle(seed):
 
 
 def test_one_partition_per_greedy_candidate(monkeypatch):
-    """Each candidate refines the partition of the picks so far by one column."""
+    """Candidates are scored from packed keys and only each step's winner is
+    refined, unless the count rows pass _DENSE * n and each candidate is."""
     rng = random.Random(3)
     orig_partition = granulens.reduction.partition_by
     orig_refine = granulens.reduction.refine
@@ -173,42 +175,75 @@ def test_one_partition_per_greedy_candidate(monkeypatch):
                         lambda view, attrs: calls.append(list(attrs)) or orig_partition(view, attrs))
     monkeypatch.setattr(granulens.reduction, "refine",
                         lambda part, cols: refined.append(len(cols)) or orig_refine(part, cols))
-    searched = 0
-    for _ in range(20):
-        table = _consistent_table(rng)
-        view = discretize(table, GranulationScheme())
-        calls.clear()
-        refined.clear()
-        result = greedy_reduct(view, table.decision_labels)
-        m, steps = len(view.condition_names), len(result.trace)
-        candidates = sum(m - i for i in range(steps))
-        searched += steps > 0
-        # gamma over all attributes and over none, one prune check per
-        # pick, and the final gamma; one single-column refine per candidate
-        assert len(calls) == 2 + steps + 1
-        assert refined == [1] * candidates
-    assert searched >= 10
+    for dense, refined_per_candidate in ((10**9, 0), (0, 1)):
+        monkeypatch.setattr(granulens.reduction, "_DENSE", dense)
+        searched = 0
+        for _ in range(20):
+            table = _consistent_table(rng)
+            view = discretize(table, GranulationScheme())
+            calls.clear()
+            refined.clear()
+            result = greedy_reduct(view, table.decision_labels)
+            m, steps = len(view.condition_names), len(result.trace)
+            candidates = sum(m - i for i in range(steps))
+            searched += steps > 0
+            # gamma over all attributes and over none, one prune check per
+            # pick, and the final gamma; single-column refines
+            assert len(calls) == 2 + steps + 1
+            assert refined == [1] * (steps + refined_per_candidate * candidates)
+            assert result == greedy_reduct_by_refine(view, table.decision_labels)
+        assert searched >= 10
 
 
 def test_one_count_pass_per_greedy_partition(monkeypatch):
-    """Each candidate's gamma and H(D|P) come from a single (block x class) count."""
+    """Each candidate's gamma and H(D|P) come from a single (key x class) count,
+    on either scoring path."""
     rng = random.Random(5)
-    orig_partition = granulens.reduction.partition_by
-    orig_refine = granulens.reduction.refine
-    orig_count = granulens.rough._label_matrix
-    partitions, counts = [], []
-    monkeypatch.setattr(granulens.reduction, "partition_by",
-                        lambda view, attrs: partitions.append(1) or orig_partition(view, attrs))
-    monkeypatch.setattr(granulens.reduction, "refine",
-                        lambda part, cols: partitions.append(1) or orig_refine(part, cols))
-    for module in (granulens.rough, granulens.entropy, granulens.reduction):
-        monkeypatch.setattr(module, "_label_matrix",
-                            lambda part, labels: counts.append(1) or orig_count(part, labels))
-    for _ in range(10):
-        table = _consistent_table(rng)
+    orig_count = granulens.rough._class_counts
+    counts = []
+    for module in (granulens.rough, granulens.reduction):
+        monkeypatch.setattr(module, "_class_counts",
+                            lambda *args: counts.append(1) or orig_count(*args))
+    for dense in (10**9, 0):  # every candidate by packed key, then every one refined
+        monkeypatch.setattr(granulens.reduction, "_DENSE", dense)
+        for _ in range(10):
+            table = _consistent_table(rng)
+            view = discretize(table, GranulationScheme())
+            counts.clear()
+            result = greedy_reduct(view, table.decision_labels)
+            m, steps = len(view.condition_names), len(result.trace)
+            # gamma over all attributes, over none, per prune check and final
+            assert len(counts) == 3 + steps + sum(m - i for i in range(steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_greedy_matches_refine_oracle(seed):
+    """Bit-identical to refining every candidate. Up to 16 values per column,
+    up to 3 classes and down to 2 rows put K*w*k on both sides of _DENSE*n."""
+    rng = random.Random(seed)
+    if rng.random() < 0.7:
+        table = _consistent_table(rng, max_attrs=7, values="uvwxyzabcdefghij"[:rng.randint(2, 16)])
         view = discretize(table, GranulationScheme())
-        partitions.clear()
-        counts.clear()
-        result = greedy_reduct(view, table.decision_labels)
-        m, steps = len(view.condition_names), len(result.trace)
-        assert len(counts) == len(partitions) == 3 + steps + sum(m - i for i in range(steps))
+    else:
+        table = random_table(rng, max_n=24)
+        view = random_view(rng, table, max_bits=6)
+    assert (greedy_reduct(view, table.decision_labels)
+            == greedy_reduct_by_refine(view, table.decision_labels))
+
+
+def test_refine_oracle_tables_take_both_scoring_paths(monkeypatch):
+    """The oracle test's consistent tables reach both sides of the fallback bound."""
+    seen = set()
+    orig = granulens.reduction._class_counts
+    monkeypatch.setattr(granulens.reduction, "_class_counts",
+                        lambda *args: seen.add("packed") or orig(*args))
+    orig_label = granulens.reduction._label_matrix
+    monkeypatch.setattr(granulens.reduction, "_label_matrix",
+                        lambda *args: seen.add("refined") or orig_label(*args))
+    rng = random.Random(13)
+    for _ in range(30):
+        table = _consistent_table(rng, max_attrs=7, values="uvwxyzabcdefghij"[:rng.randint(2, 16)])
+        view = discretize(table, GranulationScheme())
+        greedy_reduct(view, table.decision_labels)
+    assert seen == {"packed", "refined"}
