@@ -1,8 +1,8 @@
 """Columnar CSV reading shared by the table and model-run loaders.
 
-Records are transposed into one list of raw cells per column, and each
-column is then converted with one call per cell, in C. Neither step loops
-over rows or cells in Python.
+``read_typed`` reads a text in one call to numpy's C parser, and returns None
+wherever that might read it otherwise than the csv path. ``read_columns``, the
+csv path, transposes records into cells per column and composes every error.
 """
 
 from __future__ import annotations

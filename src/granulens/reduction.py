@@ -8,9 +8,9 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import DataError
-from .table import _DENSE, DiscreteView, factorize, partition_by, refine
+from .table import _DENSE, DiscreteView, Partition, factorize, partition_by, refine
 from .rough import _class_counts, _label_matrix, _positive_count, dependency
-from .entropy import _conditional_bits, conditional, shannon, Distribution
+from .entropy import _conditional_bits, conditional
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def entropy_rank(view: DiscreteView, decision_labels) -> list[tuple[str, float]]
     names = view.condition_names
     if not names:
         raise DataError("no condition attributes to rank")
-    h_d = shannon(Distribution.from_tokens(decision_labels))
     labels = factorize(decision_labels)
+    h_d = conditional(labels, Partition.single_block(len(labels)))
     gains = [(name, h_d - conditional(labels, partition_by(view, [name])))
              for name in names]
     gains.sort(key=lambda item: -item[1])  # stable: ties stay in declaration order

@@ -291,16 +291,15 @@ def factorize(tokens: Iterable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscreteView:
-    """Integer codes per (object, attribute) under one granulation scheme."""
+    """One int64 code array of length n per attribute under one granulation scheme."""
 
     source: InformationTable
     scheme: GranulationScheme
-    codes: np.ndarray  # shape (n, len(attributes)), int64
-    _index: dict[str, int]
+    codes: Mapping[str, np.ndarray]  # attribute name -> its codes
 
     def codes_for(self, name: str) -> np.ndarray:
         try:
-            return self.codes[:, self._index[name]]
+            return self.codes[name]
         except KeyError:
             raise DataError(f"unknown attribute {name!r}") from None
 
@@ -326,17 +325,16 @@ def discretize(table: InformationTable, scheme: GranulationScheme) -> DiscreteVi
         if b > 62:  # the missing-bin code 2**b must fit in int64
             raise DataError(f"bits {b} for attribute {name!r} exceeds 62")
 
-    cols = []
+    codes = {}
     for spec in table.attributes:
         col = table.column(spec.name)
         if spec.kind == "numeric":
-            cols.append(_bin_numeric(np.asarray(col), spec.observed_range,
-                                     scheme.bits_for(spec.name)))
+            codes[spec.name] = _bin_numeric(np.asarray(col), spec.observed_range,
+                                            scheme.bits_for(spec.name))
         else:
-            cols.append(table.decision_codes if spec.name == table.decision else factorize(col))
-    codes = np.column_stack(cols)
-    index = {a.name: i for i, a in enumerate(table.attributes)}
-    return DiscreteView(table, scheme, codes, index)
+            codes[spec.name] = (table.decision_codes if spec.name == table.decision
+                                else factorize(col))
+    return DiscreteView(table, scheme, codes)
 
 
 def _bin_numeric(values: np.ndarray, rng: tuple[float, float] | None,

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import granulens
 
@@ -205,6 +209,52 @@ def test_sweep_range_wider_than_dbl_max_splits_under_warnings_as_errors(tmp_path
     assert "b=1: blocks=2 " in done.stdout
     assert "b=2: blocks=3 H=0.000000000 BF=0.000000000" in done.stdout
     assert "(saturated early)" in done.stdout
+
+
+_NAMES = st.sampled_from(["a1", "a2", "d", "nope", "", " "])
+_BITS = st.sampled_from(["-1", "-70", "0", "2", "62", "63", str(2**64 + 1)])
+
+
+@st.composite
+def _cli_argv(draw):
+    """One argv for a subcommand, often with a value the command must refuse.
+    A path starting with "@" names an entry of the example's own directory."""
+    cmd = draw(st.sampled_from(["inspect", "rough", "entropy", "sweep", "reduce",
+                                "evaluate", "compare"]))
+    argv = [cmd, "@toy8.csv"] + {"evaluate": ["@run.csv"],
+                                 "compare": ["@run.csv", "@run.csv"]}.get(cmd, [])
+    argv += ["--decision", draw(st.just("d") | _NAMES)]
+    if cmd in ("rough", "entropy", "sweep"):
+        argv += ["--attrs", ",".join(draw(st.lists(_NAMES, max_size=3)))]
+    if cmd == "sweep":
+        bits = draw(st.lists(_BITS, min_size=1, max_size=2))  # may run backwards
+        argv += ["--bits", "..".join(bits), "--format", draw(st.sampled_from(["csv", "json"]))]
+    elif cmd in ("rough", "entropy", "reduce"):
+        argv += ["--bits", draw(_BITS)]
+    if cmd == "compare":
+        argv += ["--tolerance", draw(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.01"]))]
+    for flag in ["--out", "--svg"] if cmd == "sweep" else ["--out"]:
+        target = draw(st.sampled_from([None, "@out", "@taken", "@missing/out"]))
+        argv += [flag, target] if target else []
+    return argv
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_cli_argv())
+def test_cli_argv_exits_cleanly(tmp_path, toy8_csv, argv):
+    """Any argv of the grammar exits 0, 1 or 2, with no traceback and no temp file left."""
+    work = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "toy8.csv").write_text(toy8_csv)
+    (work / "run.csv").write_text(run_csv([[i, i % 2] for i in range(8)]))
+    (work / "taken").mkdir()
+    argv = [str(work / a[1:]) if a.startswith("@") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert not list(work.rglob(".granulens-tmp-*"))
 
 
 class TestSvg:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,11 @@ import granulens.rough
 
 from granulens import (
     DataError,
+    Distribution,
     GranulationScheme,
+    InformationTable,
+    Partition,
+    conditional,
     discretize,
     entropy_rank,
     exhaustive_reducts,
@@ -18,7 +23,9 @@ from granulens import (
     load_table,
     partition_by,
     dependency,
+    shannon,
 )
+from granulens.table import factorize
 
 from helpers import (greedy_reduct_by_refine, greedy_reduct_two_partitions, random_table,
                      random_view)
@@ -110,6 +117,24 @@ class TestEntropyRank:
             view = discretize(table, GranulationScheme())
             for _, gain in entropy_rank(view, table.decision_labels):
                 assert gain >= -1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.sampled_from([1, 2, 8, 13, 40]), as_text=st.booleans())
+    def test_h_d_matches_shannon_bit_for_bit(self, data, k, as_text):
+        """H(D) as the single block's conditional entropy equals shannon over
+        token counts, bit for bit, on integer codes and on strings."""
+        extra = data.draw(st.lists(st.integers(0, k - 1), max_size=200))
+        classes = data.draw(st.permutations(list(range(k)) + extra))
+        tokens = [f"c{c}" for c in classes] if as_text else np.array(classes)
+        h_d = shannon(Distribution.from_tokens(tokens))
+        single = Partition.single_block(len(tokens))
+        assert conditional(factorize(tokens), single).hex() == h_d.hex()
+        attr = data.draw(st.lists(st.sampled_from("xyz"), min_size=len(classes),
+                                  max_size=len(classes)))
+        table = InformationTable.from_columns({"a": attr, "d": tokens}, "d")
+        view = discretize(table, GranulationScheme())
+        expected = h_d - conditional(factorize(tokens), partition_by(view, ["a"]))
+        assert entropy_rank(view, table.decision_codes)[0][1].hex() == expected.hex()
 
 
 def _consistent_table(rng, max_n=24, max_attrs=6, values="uvw"):

@@ -136,6 +136,10 @@ class TestDiscretize:
                     key = (str(col[i]) if spec.kind == "categorical"
                            else repr(float(col[i])))
                     assert seen.setdefault(key, codes[i]) == codes[i]
+            for spec in table.attributes:  # one contiguous array each, decision included
+                codes = view.codes_for(spec.name)
+                assert codes.ndim == 1 and codes.dtype == np.int64 and len(codes) == table.n
+                assert codes.flags.c_contiguous
 
 
 class TestPartitionBy:
