@@ -97,7 +97,7 @@ class GranularEntropyReport:
 
 
 def granular_entropy(partition: Partition, decision_labels: Sequence) -> GranularEntropyReport:
-    """Per-granule decision entropy with its boundary-region counterpart.
+    """Per-granule decision entropy and the boundary fraction, from one (block x class) count.
 
     conditional_bits is bounded by boundary_fraction * log2(k): pure blocks
     contribute nothing and each mixed block at most log2(k). Both vanish
@@ -107,6 +107,6 @@ def granular_entropy(partition: Partition, decision_labels: Sequence) -> Granula
     counts.flags.writeable = False  # per_block is built from it on first read
     k = counts.shape[1]
     conditional_bits = _conditional_bits(counts, partition.n)
-    _, boundary_fraction = region_fractions(partition, decision_labels)
+    _, boundary_fraction = region_fractions(counts)
     normalized = conditional_bits / math.log2(k) if k >= 2 else 0.0
     return GranularEntropyReport(conditional_bits, boundary_fraction, k, normalized, counts)

@@ -142,6 +142,7 @@ def read_typed(text: str, header: list[str], kinds: list[str],
     anywhere, a cell the parser rejects, no data record, or a field that may
     exceed the csv module's limit. Given ``blank``, the text is read with it
     in every empty field, and a text that already holds it returns None.
+    So does an ``f8`` column holding an infinity or no number.
     """
     line = ",".join(header)
     # Python 3.10's csv rejects NUL; numpy skips U+001C-U+001F as spaces, int() does
@@ -160,5 +161,8 @@ def read_typed(text: str, header: list[str], kinds: list[str],
             rows = np.loadtxt(io.StringIO(text, newline=""), dtype=",".join(kinds) + ",",
                               delimiter=",", comments=None, skiprows=1, ndmin=1)
     except (ValueError, TypeError, Warning):
+        return None
+    numbers = [rows[name] for name, kind in zip(rows.dtype.names, kinds) if kind == "f8"]
+    if any(np.isinf(col).any() or np.isnan(col).all() for col in numbers):
         return None
     return [rows[name] for name in rows.dtype.names]

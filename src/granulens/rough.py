@@ -107,10 +107,9 @@ def _positive_count(counts: np.ndarray) -> int:
     return int(counts.sum() - counts[_mixed(counts)].sum())
 
 
-def region_fractions(partition: Partition, labels: Sequence) -> tuple[Fraction, Fraction]:
-    """(gamma, boundary_fraction) without materializing the region sets."""
-    pos = _positive_count(_label_matrix(partition, labels))
-    n = partition.n
+def region_fractions(counts: np.ndarray) -> tuple[Fraction, Fraction]:
+    """(gamma, boundary_fraction) of a (block x class) count matrix, without the region sets."""
+    n, pos = int(counts.sum()), _positive_count(counts)
     return Fraction(pos, n), Fraction(n - pos, n)
 
 
@@ -134,13 +133,10 @@ def regions(partition: Partition, decision_labels: Sequence) -> RegionReport:
 
     positive = frozenset().union(*(a.lower for a in per_class.values()))
     boundary_overall = frozenset().union(*(a.boundary for a in per_class.values()))
-    n = partition.n
     return RegionReport(per_class, positive, boundary_overall, negative_by_class,
-                        gamma=Fraction(len(positive), n),
-                        boundary_fraction=Fraction(len(boundary_overall), n))
+                        *region_fractions(counts))
 
 
 def dependency(partition: Partition, decision_labels: Sequence) -> Fraction:
     """Dependency degree gamma = |POS| / |U|."""
-    gamma, _ = region_fractions(partition, decision_labels)
-    return gamma
+    return region_fractions(_label_matrix(partition, decision_labels))[0]

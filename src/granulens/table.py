@@ -66,7 +66,9 @@ class GranulationScheme:
 
 
 class InformationTable:
-    """Immutable universe of objects with condition attributes and one decision."""
+    """Immutable universe of objects with condition attributes and one decision.
+
+    It keeps its columns as given: a float64 ndarray per numeric attribute, else a list."""
 
     def __init__(self, attributes: Sequence[AttributeSpec],
                  columns: Mapping[str, Sequence], decision: str,
@@ -88,16 +90,13 @@ class InformationTable:
         if self.n < 1:
             raise DataError("empty table: need at least one object")
 
-        self._columns: dict[str, object] = {}
-        for spec in self.attributes:
-            col = columns[spec.name]
-            if spec.kind == "numeric":
-                values, bad = _float_column(col)
-                if bad is not None:
-                    raise _unparsable(spec.name, bad, col[bad])
-                self._columns[spec.name] = values
-            else:
-                self._columns[spec.name] = list(col)
+        self._columns = {a.name: columns[a.name] for a in self.attributes}  # not copied
+        for name, col in self._columns.items():
+            if self._spec_by_name[name].kind == "numeric":
+                if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+                    raise DataError(f"numeric column {name!r} is not a float64 array")
+            elif not isinstance(col, list):
+                raise DataError(f"categorical column {name!r} is not a list")
 
         dec_spec = self._spec_by_name[decision]
         if dec_spec.kind != "categorical":
@@ -145,11 +144,6 @@ class InformationTable:
         return cls(specs, typed, decision, table_id=table_id)
 
 
-def _unparsable(name: str, row: int, cell) -> DataError:
-    return DataError(f"column {name!r} declared numeric but row {row} "
-                     f"has unparsable cell {cell!r}")
-
-
 def _float_column(cells: Sequence) -> tuple[np.ndarray, int | None]:
     """Cells as float64 with NaN for MISSING, and the first unparsable row or None."""
     if isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu":
@@ -160,8 +154,8 @@ def _float_column(cells: Sequence) -> tuple[np.ndarray, int | None]:
 
 def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mapping[str, str],
                    where: Callable[[int], str]) -> tuple[list[AttributeSpec], dict]:
-    """Specs and values of ``columns``: the decision is categorical, and a
-    condition column takes its kind from ``kinds`` or infers it."""
+    """Specs and new values (float64 arrays or lists) of ``columns``: the decision
+    is categorical, a condition column takes its kind from ``kinds`` or infers it."""
     for name in kinds:
         if name not in columns:
             raise DataError(f"schema hint for unknown column {name!r}")
@@ -172,13 +166,14 @@ def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mappin
             raise DataError(f"invalid kind {kind!r} for column {name!r}")
         spec, values = _typed_column(name, cells, kind, where)
         specs.append(spec)
-        typed[name] = cells if values is None else values
+        typed[name] = list(cells) if values is None else values
     return specs, typed
 
 
 def _typed_column(name: str, cells: Sequence, kind: str | None,
                   where: Callable[[int], str]) -> tuple[AttributeSpec, np.ndarray | None]:
-    """Spec and float values of one column; values is None unless it is numeric.
+    """Spec of one column, with its values as a new float64 array if it is
+    numeric, or None for a categorical column (the caller copies its cells).
 
     ``kind`` None infers it: numeric iff some cell is not MISSING and every
     such cell parses with float(). NaN is missing. An infinity in a numeric
@@ -197,7 +192,8 @@ def _typed_column(name: str, cells: Sequence, kind: str | None,
         raise DataError(f"column {name!r} has non-finite value {values[row]} "
                         f"at {where(row)}")
     if bad is not None:
-        raise _unparsable(name, bad, cells[bad])
+        raise DataError(f"column {name!r} declared numeric but row {bad} "
+                        f"has unparsable cell {cells[bad]!r}")
     present = values[~np.isnan(values)]
     if not len(present):
         if kind is None and all(cell is MISSING for cell in cells):
@@ -229,10 +225,7 @@ def load_table(csv_data: bytes | str, decision_name: str,
         for name, cell in zip(header, lines[2].split(",") + [""] * len(header))]
     raw = None if schema_hints else read_typed(text, header, kinds, _BLANK)
     as_missing = {**_AS_MISSING, _BLANK: MISSING}
-    # an infinity is an error naming its line, which read_columns knows; a
-    # column of blanks may be categorical
-    if raw is None or any(np.isinf(col).any() or np.isnan(col).all()
-                          for col in raw if col.dtype != object):
+    if raw is None:
         header, raw, blanks, ragged = read_columns(text)
         as_missing = _AS_MISSING
     if header is None:

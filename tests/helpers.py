@@ -191,7 +191,7 @@ def point_from_scratch(table, attrs, bits) -> SweepPoint:
     scheme = GranulationScheme.uniform(table, bits, attrs=list(attrs) or None)
     part = partition_by_fold(discretize(table, scheme), attrs)
     report = granular_entropy(part, table.decision_labels)
-    gamma, bf = region_fractions(part, table.decision_labels)
+    gamma, bf = region_fractions(_label_matrix(part, table.decision_labels))
     return SweepPoint(bits, part.block_count, report.conditional_bits,
                       report.normalized_conditional, float(bf), float(gamma))
 
@@ -325,7 +325,7 @@ def evaluate_run_on_tokens(table, run):
     fallback = run.granule is None
     part = Partition.from_labels(run.predicted if fallback else run.granule)
     report = granular_entropy(part, truth)
-    gamma, bf = region_fractions(part, truth)
+    gamma, bf = region_fractions(_label_matrix(part, truth))
     return EvalReport(run.run_id, correct / table.n, report.conditional_bits,
                       float(bf), float(gamma), part.block_count, fallback)
 

@@ -250,6 +250,27 @@ def test_no_blas_call_on_any_entropy_path(monkeypatch, titanic, titanic_path, ca
     assert "conditional_bits=" in capsys.readouterr().out
 
 
+def test_one_count_per_granular_entropy_run_and_sweep_level(monkeypatch, titanic):
+    """H(D|P) and the boundary fraction of a partition come from a single
+    (block x class) count: one per granular_entropy call, run and sweep level."""
+    orig_count = granulens.rough._class_counts
+    counts = []
+    monkeypatch.setattr(granulens.rough, "_class_counts",
+                        lambda *args: counts.append(1) or orig_count(*args))
+    view = discretize(titanic, GranulationScheme.uniform(titanic, 2))
+    for attrs in ([], ["Sex"], [a.name for a in titanic.condition_attributes]):
+        counts.clear()
+        granular_entropy(partition_by(view, attrs), titanic.decision_labels)
+        assert len(counts) == 1
+    for granule in (None, [str(i % 7) for i in range(titanic.n)]):
+        counts.clear()
+        evaluate_run(titanic, ModelRun("r", list(titanic.decision_labels), granule=granule))
+        assert len(counts) == 1
+    counts.clear()
+    curve = sweep(titanic, [a.name for a in titanic.condition_attributes], 0, 12)
+    assert len(curve.points) > 1 and len(counts) == len(curve.points)
+
+
 _BIG_PARTITION_H = """
 import numpy as np
 from granulens import Partition, granular_entropy

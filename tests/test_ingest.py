@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from granulens import (MISSING, DataError, InformationTable, load_run,
+from granulens import (MISSING, AttributeSpec, DataError, InformationTable, load_run,
                        load_table, read_curve)
 from granulens.cli import run_cli
-from granulens.reader import read_columns
+from granulens.reader import read_columns, read_typed
 from granulens.table import _BLANK, _DENSE, factorize
 
 from helpers import factorize_by_unique, load_run_by_rows, load_table_by_rows, run_csv
@@ -179,12 +179,24 @@ class TestNonFiniteAndNan:
         assert table.attribute("x").observed_range == (-1.0, 2.0)
         assert table.column("x").tobytes() == values.tobytes()
         assert table.column("x") is not values  # copied
+        cells, labels = ["a", MISSING, "b", "a"], list("pqpq")
+        owned = InformationTable.from_columns({"c": cells, "d": labels}, "d")
+        cells[0], labels[0] = "z", "z"
+        assert owned.column("c") == ["a", MISSING, "b", "a"]
+        assert owned.decision_labels == list("pqpq")
         listed = InformationTable.from_columns(
             {"x": [MISSING, 2, -1.0, float("nan")], "d": list("pqpq")}, "d")
         assert listed.column("x").tobytes() == values.tobytes()
         with pytest.raises(DataError, match="column 'x' has non-finite value -inf at row 2"):
             InformationTable.from_columns({"x": np.array([1.0, 2.0, -np.inf]),
                                            "d": list("pqp")}, "d")
+
+    def test_constructor_takes_typed_columns_only(self):
+        specs = [AttributeSpec("x", "numeric"), AttributeSpec("d", "categorical")]
+        with pytest.raises(DataError, match="numeric column 'x' is not a float64 array"):
+            InformationTable(specs, {"x": ["1", "2"], "d": ["p", "q"]}, "d")
+        with pytest.raises(DataError, match="categorical column 'd' is not a list"):
+            InformationTable(specs, {"x": np.array([1.0, 2.0]), "d": ("p", "q")}, "d")
 
     def test_from_columns_numeric_kind_with_text_is_data_error(self):
         with pytest.raises(DataError, match="row 1 has unparsable cell 'w'"):
@@ -720,7 +732,9 @@ class TestTypedPathSelection:
         ("+4", "1_0"), (" 3,-2.5e3,q;r", '" 3",-2.5e3,"q,r"')]
         + [("+4", char + "4") for char in TRIGGERS])
     def test_table_falls_back(self, old, new):
-        assert _exact_reads(load_table, self.CLEAN.replace(old, new, 1), "d") == 1
+        text = self.CLEAN.replace(old, new, 1)
+        assert _exact_reads(load_table, text, "d") == 1
+        assert read_typed(text, ["a", "b", "d"], ["f8", "f8", "O"], _BLANK) is None
 
     @pytest.mark.parametrize("text, decision", [
         (QUOTED, "nope"), (QUOTED.replace("b", "a", 1), "d"),
@@ -772,6 +786,7 @@ class TestTypedPathSelection:
 
     def test_all_blank_numeric_column_falls_back(self):
         text = "x0,c0,x1,y\n0.5,c1,,no\n,c0,,yes\n"
+        assert read_typed(text, ["x0", "c0", "x1", "y"], ["f8", "O", "f8", "O"], _BLANK) is None
         assert _exact_reads(load_table, text, "y") == 1
         assert load_table(text, "y").attribute("x1").kind == "categorical"
 

@@ -17,7 +17,7 @@ from granulens import (
     partition_by,
     regions,
 )
-from granulens.rough import _mixed, _positive_count, region_fractions
+from granulens.rough import _label_matrix, _mixed, _positive_count, region_fractions
 
 from helpers import (
     brute_lower,
@@ -153,7 +153,9 @@ def test_binary_duality_and_region_partition(seed):
     assert rep.positive | rep.boundary_overall == frozenset(range(table.n))
     assert not rep.positive & rep.boundary_overall
     assert rep.gamma + rep.boundary_fraction == 1
-    assert region_fractions(part, table.decision_labels) == (rep.gamma, rep.boundary_fraction)
+    assert rep.gamma == Fraction(len(rep.positive), table.n)  # the count agrees with the sets
+    counts = _label_matrix(part, table.decision_labels)
+    assert region_fractions(counts) == (rep.gamma, rep.boundary_fraction)
 
 
 @settings(max_examples=100, deadline=None)
