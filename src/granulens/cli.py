@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -30,6 +31,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)  # a float literal (-1e-3, -inf, -nan) is a value
+        self._negative_number_matcher = re.compile(
+            r"(?i)-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -205,12 +211,8 @@ def cmd_entropy(args) -> int:
           f"conditional_bits={fmt(rep.conditional_bits)} "
           f"boundary_fraction={fmt(float(rep.boundary_fraction))} "
           f"normalized={fmt(rep.normalized_conditional)}")
-    _emit_json(args, {
-        "per_block": [[b, _r9(w), _r9(h)] for b, w, h in rep.per_block],
-        "conditional_bits": _r9(rep.conditional_bits),
-        "boundary_fraction": _r9(rep.boundary_fraction),
-        "class_count": rep.class_count,
-        "normalized_conditional": _r9(rep.normalized_conditional)})
+    _emit_json(args, {"per_block": [[b, _r9(w), _r9(h)] for b, w, h in rep.per_block],
+                      **{k: v for k, v in _rounded(rep).items() if k != "counts"}})
     return 0
 
 
@@ -254,12 +256,8 @@ def cmd_reduce(args) -> int:
     print("information gain ranking:")
     for name, gain in ranking:
         print(f"  {name}: {fmt(gain)}")
-    _emit_json(args, {
-        "selected": result.selected,
-        "gamma_selected": _r9(result.gamma_selected),
-        "gamma_full": _r9(result.gamma_full),
-        "trace": [_rounded(step) for step in result.trace],
-        "entropy_rank": [[name, _r9(gain)] for name, gain in ranking]})
+    _emit_json(args, {**_rounded(result), "trace": [_rounded(step) for step in result.trace],
+                      "entropy_rank": [[name, _r9(gain)] for name, gain in ranking]})
     return 0
 
 

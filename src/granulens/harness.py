@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, UniverseMismatchError
 from .reader import convert_cells, decode_text, line_of, read_columns, read_typed
-from .table import InformationTable, Partition
+from .table import InformationTable, Partition, _coded, factorize
 from .entropy import granular_entropy
 
 _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
@@ -24,10 +25,20 @@ _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
 
 @dataclass(frozen=True)
 class ModelRun:
+    """Per object, a model's prediction and optionally its granule. The lists are coded
+    once (by ``load_run`` or on first evaluation), so later in-place changes to them are
+    not seen: use ``dataclasses.replace``. Accuracy is ``str`` equality with the label."""
+
     run_id: str
     predicted: list
     granule: list | None = None
     meta: str = ""
+
+    @cached_property
+    def _codes(self) -> tuple[list, np.ndarray, np.ndarray]:
+        """(distinct ``str`` of the predictions, each object's index in them, its block)."""
+        texts, codes = _coded(list(map(str, self.predicted)))
+        return texts, codes, factorize(self.predicted if self.granule is None else self.granule)
 
 
 @dataclass(frozen=True)
@@ -115,8 +126,10 @@ def load_run(csv_data: bytes | str, table: InformationTable,
         raise DataError(f"run row count {len(index)} != universe size {n}")
     row_of = np.empty(n, dtype=np.int64)
     row_of[index] = np.arange(n)
-    predicted, *granule = [np.asarray(col, dtype=object)[row_of].tolist() for col in cells[1:]]
-    return ModelRun(run_id, predicted, *granule, meta=meta)
+    coded = [(distinct, codes[row_of]) for distinct, codes in map(_coded, cells[1:])]  # file order
+    run = ModelRun(run_id, *[np.asarray(d, dtype=object)[c].tolist() for d, c in coded], meta=meta)
+    run.__dict__["_codes"] = (*coded[0], coded[-1][1])  # the tokens are their own str
+    return run
 
 
 def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:
@@ -124,15 +137,16 @@ def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:
     n = table.n
     if len(run.predicted) != n or (run.granule is not None and len(run.granule) != n):
         raise UniverseMismatchError("run does not cover the table's universe")
-    truth = table.decision_labels
-    correct = sum(1 for p, t in zip(run.predicted, truth) if str(p) == str(t))
+    texts, predicted, blocks = run._codes
+    truth, text_id = table._decision_texts
+    hit = np.array([text_id.get(text, -1) for text in texts], dtype=np.int64)
+    correct = np.count_nonzero(hit[predicted] == truth)
 
-    fallback = run.granule is None
-    part = Partition.from_labels(run.predicted if fallback else run.granule)
+    part = Partition.from_labels(blocks)
     report = granular_entropy(part, table.decision_codes)
     bf = report.boundary_fraction
     return EvalReport(run.run_id, correct / n, report.conditional_bits,
-                      float(bf), float(1 - bf), part.block_count, fallback)
+                      float(bf), float(1 - bf), part.block_count, run.granule is None)
 
 
 def compare_runs(reports: Sequence[EvalReport], tolerance: float = 0.005,

@@ -129,6 +129,12 @@ class InformationTable:
         codes.flags.writeable = False  # shared by every caller
         return codes
 
+    @cached_property
+    def _decision_texts(self) -> tuple[np.ndarray, dict]:
+        """Each object's id among the ``str`` of the decision labels, and each str's id."""
+        texts, codes = _coded(list(map(str, self.decision_labels)))
+        return codes, dict(zip(texts, range(len(texts))))
+
     @classmethod
     def from_columns(cls, columns: Mapping[str, Sequence], decision: str,
                      kinds: Mapping[str, str] | None = None,
@@ -140,22 +146,16 @@ class InformationTable:
         ``kinds`` overrides the inferred kind of a condition column, as
         ``load_table``'s ``schema_hints`` do.
         """
+        columns = {k: c if isinstance(c, np.ndarray) else list(c) for k, c in columns.items()}
         specs, typed = _typed_columns(columns, decision, kinds or {}, "row {}".format)
         return cls(specs, typed, decision, table_id=table_id)
 
 
-def _float_column(cells: Sequence) -> tuple[np.ndarray, int | None]:
-    """Cells as float64 with NaN for MISSING, and the first unparsable row or None."""
-    if isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu":
-        return cells.astype(np.float64), None
-    values, bad = convert_cells(float, cells, (MISSING,), math.nan)
-    return np.array(values, dtype=np.float64), bad
-
-
 def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mapping[str, str],
                    where: Callable[[int], str]) -> tuple[list[AttributeSpec], dict]:
-    """Specs and new values (float64 arrays or lists) of ``columns``: the decision
-    is categorical, a condition column takes its kind from ``kinds`` or infers it."""
+    """Specs and values (float64 arrays or lists) of ``columns``: the decision is
+    categorical, a condition column takes its kind from ``kinds`` or infers it.
+    A categorical list is kept as given, so the caller passes one it owns."""
     for name in kinds:
         if name not in columns:
             raise DataError(f"schema hint for unknown column {name!r}")
@@ -166,14 +166,15 @@ def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mappin
             raise DataError(f"invalid kind {kind!r} for column {name!r}")
         spec, values = _typed_column(name, cells, kind, where)
         specs.append(spec)
-        typed[name] = list(cells) if values is None else values
+        typed[name] = values if values is not None else (
+            list(cells) if isinstance(cells, np.ndarray) else cells)
     return specs, typed
 
 
 def _typed_column(name: str, cells: Sequence, kind: str | None,
                   where: Callable[[int], str]) -> tuple[AttributeSpec, np.ndarray | None]:
     """Spec of one column, with its values as a new float64 array if it is
-    numeric, or None for a categorical column (the caller copies its cells).
+    numeric, or None for a categorical column (the caller keeps its cells).
 
     ``kind`` None infers it: numeric iff some cell is not MISSING and every
     such cell parses with float(). NaN is missing. An infinity in a numeric
@@ -183,7 +184,11 @@ def _typed_column(name: str, cells: Sequence, kind: str | None,
     """
     if kind == "categorical":
         return AttributeSpec(name, kind), None
-    values, bad = _float_column(cells)
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "fiu":
+        values, bad = cells.astype(np.float64), None
+    else:  # MISSING reads as NaN
+        values, bad = convert_cells(float, cells, (MISSING,), math.nan)
+        values = np.array(values, dtype=np.float64)
     if bad is not None and kind is None:
         return AttributeSpec(name, "categorical"), None
     infinite = np.flatnonzero(np.isinf(values))
@@ -280,6 +285,13 @@ def factorize(tokens: Iterable) -> np.ndarray:
             code = seen[t] = len(seen)
         codes.append(code)
     return np.asarray(codes, dtype=np.int64)
+
+
+def _coded(tokens: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct tokens in first-occurrence order, and factorize's codes."""
+    codes = factorize(tokens)
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))  # first rows
+    return [tokens[i] for i in first.tolist()], codes
 
 
 @dataclass(frozen=True)

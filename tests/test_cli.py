@@ -170,7 +170,7 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert err.count("not valid UTF-8") == 2 and "Traceback" not in err
 
-    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "-inf", "-nan", "-1e-3", "-Infinity"])
     def test_bad_tolerance_exit_2(self, tmp_path, toy8_file, toy8, capsys, tolerance):
         run = tmp_path / "run.csv"
         run.write_text(run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]))
@@ -232,7 +232,8 @@ def _cli_argv(draw):
     elif cmd in ("rough", "entropy", "reduce"):
         argv += ["--bits", draw(_BITS)]
     if cmd == "compare":
-        argv += ["--tolerance", draw(st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.01"]))]
+        argv += ["--tolerance", draw(st.sampled_from(
+            ["nan", "inf", "-inf", "-nan", "-1", "-1e-3", "0", "0.01"]))]
     for flag in ["--out", "--svg"] if cmd == "sweep" else ["--out"]:
         target = draw(st.sampled_from([None, "@out", "@taken", "@missing/out"]))
         argv += [flag, target] if target else []

@@ -1,12 +1,15 @@
+import dataclasses
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from granulens import (
     DataError,
     EvalReport,
+    InformationTable,
     ModelRun,
     compare_runs,
     evaluate_run,
@@ -14,7 +17,7 @@ from granulens import (
     load_table,
 )
 
-from helpers import evaluate_run_on_tokens, random_table, run_csv
+from helpers import evaluate_run_on_tokens, load_run_by_rows, random_table, run_csv
 
 
 def perfect_rows(toy8, granule=None):
@@ -170,24 +173,96 @@ class TestCompareRuns:
         assert compare_runs([_report("A", 0.8, 0.1)], tolerance=0.0).selected == "A"
 
 
-def _random_run(rng, table):
+#: equal as dict keys in two groups, but with three distinct str texts
+MIXED = [1, 1.0, True, "1", np.int64(1), np.str_("1")]
+
+
+def _random_run(rng, table, extra=()):
     labels = table.decision_labels
-    tokens = sorted(set(labels)) + ["other"]
+    tokens = sorted(set(labels), key=repr) + ["other", *extra]
     predicted = [t if rng.random() < 0.7 else rng.choice(tokens) for t in labels]
     granule = None
     if rng.random() < 0.5:
         granule = [f"g{rng.randrange(rng.randint(1, table.n))}" for _ in range(table.n)]
+        if extra and rng.random() < 0.5:
+            granule = [rng.choice(extra) for _ in range(table.n)]
     return ModelRun("r", predicted, granule)
 
 
 @settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 10**9))
-def test_evaluate_run_matches_token_oracle(seed):
+@given(seed=st.integers(0, 10**9), mixed=st.booleans())
+def test_evaluate_run_matches_token_oracle(seed, mixed):
     rng = random.Random(seed)
     table = random_table(rng, max_n=40, max_classes=5)
+    if mixed:
+        n = table.n
+        table = InformationTable.from_columns(
+            {"c": [rng.choice("uv") for _ in range(n)],
+             "d": [rng.choice(MIXED + ["0"]) for _ in range(n)]}, "d")
     for _ in range(3):
-        run = _random_run(rng, table)
+        run = _random_run(rng, table, MIXED if mixed else ())
         assert evaluate_run(table, run) == evaluate_run_on_tokens(table, run)
+
+
+RUN_TOKENS = ["a b", " x y ", "\u00e9t\u00e9", "\u65e5\u672c \u03a9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**9), granule=st.booleans(), quoted=st.booleans())
+def test_evaluate_loaded_run_matches_token_oracle(seed, granule, quoted):
+    """A shuffled run file, read typed, or by the csv reader when a cell is quoted."""
+    rng = random.Random(seed)
+    table = random_table(rng, max_n=40, max_classes=5)
+    labels = table.decision_labels
+    pool = sorted(set(labels)) + RUN_TOKENS
+    rows = [[str(i), t if rng.random() < 0.6 else rng.choice(pool)] for i, t in enumerate(labels)]
+    if granule:
+        for row in rows:
+            row.append(rng.choice(RUN_TOKENS + [f"g{rng.randrange(table.n)}"]))
+    rng.shuffle(rows)
+    if quoted:  # any quote sends the text to the csv reader
+        picked = rng.choice(rows)
+        picked[1] = f'"{picked[1]}"'
+    header = ["object_index", "predicted", "granule"][:2 + granule]
+    text = "\n".join(",".join(row) for row in [header] + rows) + "\n"
+    run = load_run(text, table)
+    by_rows = load_run_by_rows(text, table)
+    assert run == by_rows
+    assert evaluate_run(table, run) == evaluate_run_on_tokens(table, by_rows)
+    assert len(set(map(id, run.predicted))) == len(set(run.predicted))  # one object per token
+
+
+def test_loaded_run_is_scored_on_its_codes(monkeypatch, toy8_csv):
+    """evaluate_run passes over no token list of a loaded run; the str texts of
+    the decision labels are coded once per table."""
+    table = load_table(toy8_csv, "d")
+    rows = perfect_rows(table, A1_GRANULES)
+    run = load_run(run_csv(rows, header=("object_index", "predicted", "granule")), table)
+    table.decision_codes  # coded for the partition count, as before
+    seen = []
+    for mod in [m for name, m in sys.modules.items()
+                if name.startswith("granulens.") and hasattr(m, "factorize")]:
+        orig = mod.factorize
+
+        def counting(tokens, orig=orig):
+            if not (isinstance(tokens, np.ndarray) and tokens.dtype.kind in "iu"):
+                seen.append(list(tokens))
+            return orig(tokens)
+        monkeypatch.setattr(mod, "factorize", counting)
+    reports = [evaluate_run(table, run) for _ in range(3)]
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0].accuracy == 1.0 and reports[0].block_count == 3
+    assert seen == [[str(label) for label in table.decision_labels]]
+
+
+def test_replaced_run_is_coded_again(toy8):
+    """A run made by dataclasses.replace does not keep the codes of the one it copies."""
+    run = load_run(run_csv(perfect_rows(toy8, A1_GRANULES),
+                           header=("object_index", "predicted", "granule")), toy8)
+    assert evaluate_run(toy8, run).block_count == 3
+    for changed in (dataclasses.replace(run, granule=None),  # 2 blocks
+                    dataclasses.replace(run, predicted=["1"] * 8)):  # accuracy 0.625
+        assert evaluate_run(toy8, changed) == evaluate_run_on_tokens(toy8, changed)
 
 
 def test_decision_factorized_once_per_table(monkeypatch, toy8_csv):
