@@ -3,10 +3,16 @@
 Runs arrive as CSV files (``object_index,predicted[,granule]``); the model
 is never trained in-process. The model-induced partition comes from the
 granule column when present, otherwise from grouping equal predictions.
+
+A run in the plain shape that CSV writers emit for such files (see
+``_read_run``) is read from the positions of its separator bytes, its tokens
+coded by ``table.refine`` on their bytes; any other run goes to
+``reader.read_columns``, the csv path, which also composes every error.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import re
 from dataclasses import dataclass
@@ -16,11 +22,18 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, UniverseMismatchError
-from .reader import convert_cells, decode_text, line_of, read_columns, read_typed
-from .table import InformationTable, Partition, _coded, factorize
+from .reader import convert_cells, decode_text, line_of, read_columns
+from .table import _DENSE, InformationTable, Partition, _coded, _first_rows, factorize, refine
 from .entropy import granular_entropy
 
 _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
+#: the header line _read_run takes; group 1 is the granule column
+_HEADER = re.compile(r"object_index,predicted(,granule)?\r?\n")
+#: each byte's digit value, 10 for a non-digit, 0 for the LF before a record
+_DIGITS = np.full(256, 10, dtype=np.uint8)
+_DIGITS[ord("0"):ord("9") + 1] = np.arange(10)
+_DIGITS[ord("\n")] = 0
+_DIGITS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,77 @@ class ComparisonVerdict:
     tolerance_used: float
 
 
+def _read_run(body: bytes, width: int) -> tuple[np.ndarray, list[tuple[list, np.ndarray]]] | None:
+    """object_index values, and the distinct tokens and their codes per token column,
+    of a run's records in file order; ``body`` is the UTF-8 after the header line.
+
+    Returns None unless the records are in the plain shape, where csv and int()
+    read the fields as raw bytes between separators: ``width`` fields per record,
+    each record ended by LF or CRLF; no ``"``; no byte below 0x20 but a line end;
+    object_index of 1-18 ASCII digits; no field longer than the csv module's
+    limit; and a widest token no wider than the rows, and times the rows at
+    most ``_DENSE`` times the bytes. Tokens are coded byte position by
+    position, so the last two bound the number and the work of those passes.
+    """
+    if not body.endswith(b"\n") or b'"' in body:
+        return None
+    data = np.frombuffer(body, dtype=np.uint8)
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    if len(seps) % width:
+        return None
+    seps = seps.reshape(-1, width)
+    rows = len(seps)
+    crs = np.flatnonzero(data == ord("\r"))
+    # every line end an LF, and every other byte below 0x20 a CR before an LF: so
+    # the LFs are the line ends and every other separator is a comma
+    if ((data[seps[:, -1]] != ord("\n")).any() or (data[crs + 1] != ord("\n")).any()
+            or np.count_nonzero(data < 0x20) != rows + len(crs)):
+        return None
+    index = _digits(data, np.concatenate(([-1], seps[:-1, -1])), seps[:, 0])
+    last = seps[:, -1] - (data[seps[:, -1] - 1] == ord("\r"))  # a CRLF's CR ends the field
+    # token column c runs from after seps[:, c] to ends[c]
+    ends = [seps[:, c] for c in range(1, width - 1)] + [last]
+    widest = max(int((end - seps[:, c]).max()) - 1 for c, end in enumerate(ends))
+    # coding makes widest passes of rows tokens each
+    if (index is None or widest > csv.field_size_limit()
+            or widest * rows > _DENSE * len(body) or widest > rows):
+        return None
+    clean = data.copy()  # separators and line ends read as 0, which no token holds
+    clean[seps] = 0
+    clean[crs] = 0
+
+    def byte_columns(start, end):
+        for j in range(widest):
+            yield clean[np.minimum(start + j, end)]
+
+    coded = []
+    for c, end in enumerate(ends):
+        start = seps[:, c] + 1
+        codes = refine(Partition.single_block(rows), byte_columns(start, end)).block_of
+        first = _first_rows(codes)
+        coded.append(([body[i:k].decode("utf-8", "surrogatepass") for i, k in
+                       zip(start[first].tolist(), end[first].tolist())], codes))
+    return index, coded
+
+
+def _digits(data: np.ndarray, lfs: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """Values of the fields that run from after ``lfs`` (the LF before each; -1,
+    the LF that ends ``data``, for the first) to ``ends``, or None unless each is
+    1-18 ASCII digits within the csv module's limit."""
+    lengths = ends - lfs - 1
+    top = int(lengths.max())
+    if lengths.min() < 1 or top > min(18, csv.field_size_limit()):
+        return None
+    index = np.zeros(len(ends), dtype=np.int64)
+    for j in range(top, 0, -1):  # right-aligned; the LF before a field reads as a leading 0
+        digit = _DIGITS.take(data.take(np.maximum(ends - j, lfs)))
+        if digit.max() > 9:
+            return None
+        index *= 10
+        index += digit
+    return index
+
+
 def load_run(csv_data: bytes | str, table: InformationTable,
              run_id: str = "run") -> ModelRun:
     """Parse a model-run CSV and validate it covers the table's universe.
@@ -87,23 +171,27 @@ def load_run(csv_data: bytes | str, table: InformationTable,
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
         text, skipped = text[len(first):], 1
-    header = ["object_index", "predicted", "granule"]
-    header = header[:3 if text.startswith(",".join(header)) else 2]
-    typed = read_typed(text, header, ["i8", "O", "O"][:len(header)])
-    header, cells, blanks, ragged = ((header, typed, [], None) if typed is not None
-                                     else read_columns(text, skipped))
-    if header is None:
-        raise DataError("empty run file")
-    header = [h.strip() for h in header]
-    if header[:2] != ["object_index", "predicted"]:
-        raise DataError("run header must start with object_index,predicted")
-    extra = header[3:] if header[2:3] == ["granule"] else header[2:]
-    if extra:
-        raise DataError(f"unexpected run column {extra[0]!r}: "
-                        "the header is object_index,predicted[,granule]")
+    line = _HEADER.match(text)
+    read = _read_run(text[line.end():].encode("utf-8", "surrogatepass"),
+                     3 if line[1] else 2) if line else None
+    if read is not None:
+        values, coded = read
+        bad = ragged = None
+    else:
+        header, cells, blanks, ragged = read_columns(text, skipped)
+        if header is None:
+            raise DataError("empty run file")
+        header = [h.strip() for h in header]
+        if header[:2] != ["object_index", "predicted"]:
+            raise DataError("run header must start with object_index,predicted")
+        extra = header[3:] if header[2:3] == ["granule"] else header[2:]
+        if extra:
+            raise DataError(f"unexpected run column {extra[0]!r}: "
+                            "the header is object_index,predicted[,granule]")
+        values, bad = convert_cells(int, cells[0])
+        coded = map(_coded, cells[1:])  # once the rows are valid
 
     n = table.n
-    values, bad = (cells[0], None) if typed is not None else convert_cells(int, cells[0])
     try:
         index = np.array(values, dtype=np.int64)
     except OverflowError:  # beyond int64, so out of range
@@ -126,7 +214,7 @@ def load_run(csv_data: bytes | str, table: InformationTable,
         raise DataError(f"run row count {len(index)} != universe size {n}")
     row_of = np.empty(n, dtype=np.int64)
     row_of[index] = np.arange(n)
-    coded = [(distinct, codes[row_of]) for distinct, codes in map(_coded, cells[1:])]  # file order
+    coded = [(distinct, codes[row_of]) for distinct, codes in coded]  # file order
     run = ModelRun(run_id, *[np.asarray(d, dtype=object)[c].tolist() for d, c in coded], meta=meta)
     run.__dict__["_codes"] = (*coded[0], coded[-1][1])  # the tokens are their own str
     return run

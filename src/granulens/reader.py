@@ -1,8 +1,10 @@
 """Columnar CSV reading shared by the table and model-run loaders.
 
-``read_typed`` reads a text in one call to numpy's C parser, and returns None
-wherever that might read it otherwise than the csv path. ``read_columns``, the
-csv path, transposes records into cells per column and composes every error.
+``read_columns``, the csv path, transposes records into cells per column and
+composes every error; both loaders fall back to it. ``read_typed`` reads a
+table's text in one call to numpy's C parser, and returns None wherever that
+might read it otherwise than the csv path. Model runs have their own byte
+reader, ``harness._read_run``.
 """
 
 from __future__ import annotations
@@ -109,17 +111,15 @@ def convert_cells(convert: Callable, cells: Sequence, missing: tuple = (),
             out.append(fill)
 
 
-def _blank_filled(text: str, blank: str | None) -> str | None:
-    """``text`` with ``blank`` in every empty field if given, or None if a field
-    may exceed the csv module's limit: a field lies between two commas (or an end)."""
+def _blank_filled(text: str, blank: str) -> str | None:
+    """``text`` with ``blank`` in every empty field, or None if a field may
+    exceed the csv module's limit: a field lies between two commas (or an end)."""
     raw = text.encode("utf-8", "surrogatepass")
     data = np.frombuffer(raw, dtype=np.uint8)
     commas = np.flatnonzero(data == ord(","))
     gaps = np.diff(commas, prepend=-1, append=len(data))
     if gaps.max() > csv.field_size_limit() + 1:
         return None
-    if blank is None:
-        return text
     # an empty field follows a comma and ends at a comma, line end or the end, or starts a line
     before, after = data.take(commas - 1, mode="clip"), data.take(commas + 1, mode="clip")
     at = np.sort(np.concatenate([
@@ -132,17 +132,17 @@ def _blank_filled(text: str, blank: str | None) -> str | None:
 
 
 def read_typed(text: str, header: list[str], kinds: list[str],
-               blank: str | None = None) -> list[np.ndarray] | None:
+               blank: str) -> list[np.ndarray] | None:
     """Columns of CSV ``text``, one per dtype in ``kinds``, read by numpy's C parser.
 
     ``header`` is the text's first line split at commas. Returns None where
-    the parser might not read the text as read_columns and int()/float() do,
+    the parser might not read the text as read_columns and float() do,
     which then also name the line of an error: a ``"`` anywhere (quoted
     fields are the csv module's), an empty first line, NUL or U+001C-U+001F
     anywhere, a cell the parser rejects, no data record, or a field that may
-    exceed the csv module's limit. Given ``blank``, the text is read with it
-    in every empty field, and a text that already holds it returns None.
-    So does an ``f8`` column holding an infinity or no number.
+    exceed the csv module's limit. The text is read with ``blank`` in every
+    empty field, and a text that already holds it returns None. So does an
+    ``f8`` column holding an infinity or no number.
     """
     line = ",".join(header)
     # Python 3.10's csv rejects NUL; numpy skips U+001C-U+001F as spaces, int() does
@@ -150,7 +150,7 @@ def read_typed(text: str, header: list[str], kinds: list[str],
     if (not line or '"' in text or not text.startswith(line)
             or text[len(line):len(line) + 1] not in ("\r", "\n")
             or any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
-            or blank is not None and blank[0] in text and blank in text):
+            or blank[0] in text and blank in text):
         return None
     text = _blank_filled(text, blank)
     if text is None:

@@ -131,8 +131,18 @@ class InformationTable:
 
     @cached_property
     def _decision_texts(self) -> tuple[np.ndarray, dict]:
-        """Each object's id among the ``str`` of the decision labels, and each str's id."""
-        texts, codes = _coded(list(map(str, self.decision_labels)))
+        """Each object's id among the ``str`` of the decision labels, and each str's id.
+
+        When every distinct label is a ``str``, the ids are ``decision_codes``.
+        Otherwise equal labels may differ in ``str`` (``1``, ``1.0``, ``True``),
+        so the ``str`` of every label is coded.
+        """
+        labels = self.decision_labels
+        distinct = [labels[i] for i in _first_rows(self.decision_codes)]
+        if all(type(label) is str for label in distinct):
+            texts, codes = distinct, self.decision_codes
+        else:
+            texts, codes = _coded(list(map(str, labels)))
         return codes, dict(zip(texts, range(len(texts))))
 
     @classmethod
@@ -287,11 +297,15 @@ def factorize(tokens: Iterable) -> np.ndarray:
     return np.asarray(codes, dtype=np.int64)
 
 
+def _first_rows(codes: np.ndarray) -> list[int]:
+    """The row where each of the first-occurrence ``codes`` first appears, in code order."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1)).tolist()
+
+
 def _coded(tokens: Sequence) -> tuple[list, np.ndarray]:
     """The distinct tokens in first-occurrence order, and factorize's codes."""
     codes = factorize(tokens)
-    first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))  # first rows
-    return [tokens[i] for i in first.tolist()], codes
+    return [tokens[i] for i in _first_rows(codes)], codes
 
 
 @dataclass(frozen=True)
@@ -398,7 +412,7 @@ class Partition:
         return cls(np.zeros(n, dtype=np.int64))
 
 
-def refine(partition: Partition, columns: Sequence[np.ndarray]) -> Partition:
+def refine(partition: Partition, columns: Iterable[np.ndarray]) -> Partition:
     """Split every block of ``partition`` by the non-negative codes of each column.
 
     A column of width w = ``int(col.max()).bit_length()`` joins the key as

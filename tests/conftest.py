@@ -1,8 +1,13 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from granulens import load_table
+
+# selected in CI with --hypothesis-profile=ci: a failing example prints the
+# @reproduce_failure blob that replays it on another machine
+settings.register_profile("ci", print_blob=True)
 
 DATA_DIR = pathlib.Path(__file__).resolve().parent.parent / "data"
 

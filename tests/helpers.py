@@ -330,6 +330,14 @@ def evaluate_run_on_tokens(table, run):
                       float(bf), float(gamma), part.block_count, fallback)
 
 
+def decision_texts_by_str(table):
+    """InformationTable._decision_texts as it once was: the str of every label coded
+    by first occurrence, and each str's id."""
+    ids = {}
+    codes = [ids.setdefault(str(label), len(ids)) for label in table.decision_labels]
+    return np.array(codes, dtype=np.int64), ids
+
+
 def granular_entropy_by_dot(partition, labels):
     """(per_block, H(D|P)) as granular_entropy built them eagerly, H by np.dot over all blocks."""
     counts = _label_matrix(partition, labels)

@@ -17,7 +17,8 @@ from granulens import (
     load_table,
 )
 
-from helpers import evaluate_run_on_tokens, load_run_by_rows, random_table, run_csv
+from helpers import (decision_texts_by_str, evaluate_run_on_tokens, load_run_by_rows,
+                     random_table, run_csv)
 
 
 def perfect_rows(toy8, granule=None):
@@ -233,8 +234,8 @@ def test_evaluate_loaded_run_matches_token_oracle(seed, granule, quoted):
 
 
 def test_loaded_run_is_scored_on_its_codes(monkeypatch, toy8_csv):
-    """evaluate_run passes over no token list of a loaded run; the str texts of
-    the decision labels are coded once per table."""
+    """evaluate_run passes over no token list of a loaded run, nor over the
+    decision labels when they are str: their ids are the decision codes."""
     table = load_table(toy8_csv, "d")
     rows = perfect_rows(table, A1_GRANULES)
     run = load_run(run_csv(rows, header=("object_index", "predicted", "granule")), table)
@@ -252,7 +253,7 @@ def test_loaded_run_is_scored_on_its_codes(monkeypatch, toy8_csv):
     reports = [evaluate_run(table, run) for _ in range(3)]
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].accuracy == 1.0 and reports[0].block_count == 3
-    assert seen == [[str(label) for label in table.decision_labels]]
+    assert seen == []
 
 
 def test_replaced_run_is_coded_again(toy8):
@@ -280,3 +281,20 @@ def test_decision_factorized_once_per_table(monkeypatch, toy8_csv):
     reports = [evaluate_run(table, run) for _ in range(3)]
     assert reports[0] == reports[1] == reports[2]
     assert seen.count(True) == 1
+
+
+#: decision labels whose str differ although some are equal: 1 == 1.0 == True
+LABEL = st.sampled_from(["a", np.str_("a"), "b", np.str_("b"), "1", 1, 1.0, True,
+                         False, 0, 2.5, "2.5", "True"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LABEL, min_size=1, max_size=12))
+def test_decision_texts_match_str_oracle(labels):
+    table = InformationTable.from_columns({"d": labels}, "d")
+    codes, ids = table._decision_texts
+    want_codes, want_ids = decision_texts_by_str(table)
+    assert codes.tolist() == want_codes.tolist()
+    assert ids == want_ids
+    if all(type(label) is str for label in labels):
+        assert codes is table.decision_codes

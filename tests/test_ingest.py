@@ -514,9 +514,9 @@ TYPED_WORD = st.sampled_from([
 
 
 def _exactly(load, *args, **kwargs):
-    """Outcome of ``load`` with read_typed declining every text."""
+    """Outcome of ``load`` with read_typed and the run byte reader declining every text."""
     with mock.patch("granulens.table.read_typed", return_value=None), \
-            mock.patch("granulens.harness.read_typed", return_value=None):
+            mock.patch("granulens.harness._read_run", return_value=None):
         return outcome(load, *args, **kwargs)
 
 
@@ -795,3 +795,162 @@ class TestTypedPathSelection:
         text += "0.5,,1\n"
         assert _exact_reads(load_table, text, "d") == 0
         assert np.isnan(load_table(text, "d").column("b")[-1])
+
+
+# --- the run byte reader (harness._read_run) against the exact path ----------
+
+def _run_read_alike(text, table, exact_reads):
+    """Outcome of ``load_run`` after checking it takes the path ``exact_reads``
+    names and matches the exact path and, where it reads the text, the row oracle."""
+    assert _exact_reads(load_run, text, table) == exact_reads
+    got = outcome(load_run, text, table)
+    want = _exactly(load_run, text, table)
+    assert got == want
+    if not isinstance(got, str):  # and the codes evaluate_run scores
+        texts, predicted, blocks = got._codes
+        assert (texts, predicted.tolist(), blocks.tolist()) == (
+            want._codes[0], want._codes[1].tolist(), want._codes[2].tolist())
+    if _by_rows_reads(text):
+        assert got == outcome(load_run_by_rows, text, table)
+    return got
+
+
+def _line_ends(text, ends):
+    """``text`` with its n-th LF replaced by ``ends[n % len(ends)]``."""
+    lines = text.split("\n")
+    return "".join(line + ends[i % len(ends)] for i, line in enumerate(lines[:-1])) + lines[-1]
+
+
+class TestRunByteReaderPath:
+    BASE = _run_with_cell(1, "0")
+
+    @pytest.mark.parametrize("text, exact", [
+        (BASE, 0),
+        (BASE.replace("\n", "\r\n"), 0),
+        (_line_ends(BASE, ["\r\n", "\n", "\n"]), 0),
+        (_line_ends(BASE, ["\n", "\n", "\r\n"]), 0),  # an LF header, CRLF records among LF
+        (BASE.replace("\n", "\r"), 1),
+        (BASE.replace("\n3,", "\r3,"), 1),  # one bare CR among the records
+        (BASE[:-1], 1),  # no final line end
+        (BASE.replace("\n3,", "\n\n3,"), 1),  # a blank line
+        (BASE.replace("granule\n", "granule\n\n"), 1)])
+    def test_line_ends(self, toy8, text, exact):
+        got = _run_read_alike(text, toy8, exact)
+        assert got == load_run(self.BASE, toy8)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_header_only(self, toy8, eol):
+        got = _run_read_alike("object_index,predicted,granule" + eol, toy8, 1)
+        assert got == "DataError: run row count 0 != universe size 8"
+
+    @pytest.mark.parametrize("column, value, exact", [
+        (1, "", 0), (2, "", 0), (1, "p\u2028x", 0), (2, "g\x85y", 0), (1, "Ω\x7f", 0),
+        (2, " g ", 0), (1, "p\tq", 1), (1, "p\rq", 1), (1, "p\r", 1), (2, 'g"q', 1), (1, '"0"', 1)])
+    def test_tokens(self, toy8, column, value, exact):
+        run = _run_read_alike(_run_with_cell(column, value), toy8, exact)
+        if "\r" not in value:  # a CR ends a record
+            assert (run.predicted if column == 1 else run.granule)[3] == value.strip('"')
+
+    @pytest.mark.parametrize("value, exact", [
+        ("003", 0), ("0" * 17 + "3", 0), ("0" * 18 + "3", 1), ("+3", 1), (" 3", 1),
+        ("3 ", 1), ("", 1), ("1" + "0" * 17, 0), ("9" * 19, 1), ("٣", 1)])
+    def test_object_index(self, toy8, value, exact):
+        got = _run_read_alike(_run_with_cell(0, value), toy8, exact)
+        if int(value or "-1") == 3:
+            assert got == load_run(self.BASE, toy8)
+        else:
+            assert got.startswith("DataError: ")
+
+    @pytest.mark.parametrize("limit, column, value", [
+        (None, 2, "g" * 131_073), (12, 2, "g" * 13), (12, 1, "p" * 13), (12, 0, "0" * 12 + "3")])
+    def test_field_over_the_csv_limit(self, limit, column, value):
+        table = InformationTable.from_columns({"d": [f"k{i % 2}" for i in range(20)]}, "d")
+        rows = [[str(i), "0", f"g{i % 3}"] for i in range(20)]
+        header = ("object_index", "predicted", "granule")
+        old = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            rows[3][column] = value
+            text = run_csv(rows, header=header)
+            assert _exact_reads(load_run, text, table) == 1
+            assert outcome(load_run, text, table) == _exactly(load_run, text, table) == (
+                "DataError: unreadable CSV record at line 5: field larger than field limit "
+                f"({csv.field_size_limit()})")
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                load_run_by_rows(text, table)
+            if limit:  # a field at the limit is read by bytes
+                rows[3][column] = value[1:]
+                _run_read_alike(run_csv(rows, header=header), table, 0)
+        finally:
+            csv.field_size_limit(old)
+
+    @pytest.mark.parametrize("width, exact", [(8, 0), (9, 1)])
+    def test_token_wider_than_the_rows(self, toy8, width, exact):
+        _run_read_alike(_run_with_cell(1, "p" * width), toy8, exact)
+
+    @pytest.mark.parametrize("width, exact", [(20, 0), (150, 1)])
+    def test_token_past_the_work_bound(self, width, exact):
+        # 200 rows of about 9 bytes: a 150-byte token makes 150 * 200 > 8 * 1,900
+        table = InformationTable.from_columns({"d": [f"k{i % 2}" for i in range(200)]}, "d")
+        rows = [[i, "0", f"g{i % 3}"] for i in range(200)]
+        rows[7][2] = "w" * width
+        run = _run_read_alike(run_csv(rows, header=("object_index", "predicted", "granule")),
+                              table, exact)
+        assert run.granule[7] == "w" * width
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_bench_shaped_run_skips_csv_and_loadtxt(eol):
+    """A shuffled 2000-row run with 128 granules, as the compare benchmark writes them."""
+    rng = np.random.default_rng(5)
+    n = 2000
+    labels = rng.integers(0, 3, size=n)
+    table = InformationTable.from_columns({"d": np.array(["A", "B", "C"])[labels].tolist()}, "d")
+    pred = np.where(rng.random(n) < 0.8, labels, (labels + 1) % 3)
+    rows = rng.permutation(n)
+    lines = ["object_index,predicted,granule"] + [
+        f"{i},{'ABC'[pred[i]]},g{(pred[i] * 97 + labels[i] * 31 + i) % 128}" for i in rows.tolist()]
+    text = eol.join(lines) + eol
+    with mock.patch("numpy.loadtxt", side_effect=AssertionError("np.loadtxt called")):
+        assert _exact_reads(load_run, text, table) == 0
+        run = load_run(text, table)
+    want = load_run_by_rows(text, table)
+    assert run == want and repr(run) == repr(want)
+    assert len(set(run.granule)) == 128
+
+
+#: tokens in the byte reader's grammar: no quote, no byte below 0x20
+PLAIN_WORD = st.sampled_from(["a", "b", "", " a ", "x y", "Ω", "p\u2028q", "\x85",
+                              "1", "#", "\x7f", "ab", "aé", "g12", "g1", "g120"])
+
+
+@st.composite
+def plain_runs(draw, n):
+    """Runs in the byte reader's grammar, with rare faults that load_run rejects,
+    and the read_columns calls expected: 1 where a token is wider than the rows."""
+    rnd = draw(st.randoms(use_true_random=False))
+    granule = draw(st.booleans())
+    rows = [[draw(st.sampled_from(["", "0", "00"])) + str(i), draw(PLAIN_WORD),
+             draw(PLAIN_WORD)][:2 + granule] for i in range(n)]
+    rows = draw(st.permutations(rows))
+    if rare(rnd, 0.1):
+        rows[rnd.randrange(n)][0] = draw(st.sampled_from([str(n), "9" * 18, rows[0][0]]))
+    if rare(rnd, 0.1):
+        rows = rows[:-1]
+    widest = max((len(cell.encode()) for row in rows for cell in row[1:]), default=0)
+    lines = ["object_index,predicted" + ",granule" * granule] + [",".join(r) for r in rows]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    if draw(st.booleans()):
+        lines.insert(0, "# run_id=r1 meta=k=3")
+        ends.insert(0, draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return (text.encode("utf-8-sig") if rare(rnd, 0.1) else text,
+            int(not rows or widest > len(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), plain_runs(n))))
+def test_plain_runs_are_read_by_bytes_like_the_exact_path(inputs):
+    n, (text, exact) = inputs
+    table = InformationTable.from_columns({"d": [f"k{i % 2}" for i in range(n)]}, "d")
+    _run_read_alike(text, table, exact)
