@@ -19,6 +19,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
@@ -510,3 +511,23 @@ def load_run_by_rows(csv_data, table, run_id="run"):
     if count != n:
         raise DataError(f"run row count {count} != universe size {n}")
     return ModelRun(run_id, predicted, granule if has_granule else None, meta)
+
+
+def rare(rnd, p):
+    """True at rate p for uniform draws. hypothesis' own randoms draw 0.0
+    most often and shrink toward it, so 0.0 must mean no fault."""
+    return rnd.random() >= 1 - p
+
+
+def outcome(load, *args, **kwargs):
+    try:
+        return load(*args, **kwargs)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+def _exactly(load, *args, **kwargs):
+    """Outcome of ``load`` with read_typed and the run byte reader declining every text."""
+    with mock.patch("granulens.table.read_typed", return_value=None), \
+            mock.patch("granulens.harness._read_run", return_value=None):
+        return outcome(load, *args, **kwargs)

@@ -17,7 +17,8 @@ from granulens.cli import run_cli
 from granulens.reader import read_columns, read_typed
 from granulens.table import _BLANK, _DENSE, factorize
 
-from helpers import factorize_by_unique, load_run_by_rows, load_table_by_rows, run_csv
+from helpers import (_exactly, factorize_by_unique, load_run_by_rows, load_table_by_rows,
+                     outcome, rare, run_csv)
 
 PAD = st.sampled_from(["", "", " ", "\t", " ", "\xa0", "\x1c", " 　"])
 NUMBER = st.one_of(
@@ -35,12 +36,6 @@ def cell(draw, kind):
                  "categorical": st.one_of(WORD, NUMBER, MISSING_CELL),
                  "decision": WORD, "missing": MISSING_CELL}[kind])
     return draw(PAD) + core + draw(PAD)
-
-
-def rare(rnd, p):
-    """True at rate p for uniform draws. hypothesis' own randoms draw 0.0
-    most often and shrink toward it, so 0.0 must mean no fault."""
-    return rnd.random() >= 1 - p
 
 
 def write_rows(draw, rnd, header, rows):
@@ -97,13 +92,6 @@ def run_inputs(draw, n, word=WORD):
     if draw(st.booleans()):
         body = "# run_id=r1 meta=k=3\n" + body
     return body
-
-
-def outcome(load, *args, **kwargs):
-    try:
-        return load(*args, **kwargs)
-    except DataError as exc:
-        return f"DataError: {exc}"
 
 
 @settings(max_examples=400, deadline=None)
@@ -511,13 +499,6 @@ ODD_NUMBER = st.sampled_from(["inf", "-inf", "1e999", "-1e999", "\u0661", "0x10"
 TYPED_WORD = st.sampled_from([
     "a", "b", "x y", " a ", '"a,b"', '"q""t"', 'q"t', '"a"b', ' "a"', "p\u2028q", "\x85",
     '"p\nq"', '"p\r\nq"', "\ufeff", "\u03a9", "#", "1"])
-
-
-def _exactly(load, *args, **kwargs):
-    """Outcome of ``load`` with read_typed and the run byte reader declining every text."""
-    with mock.patch("granulens.table.read_typed", return_value=None), \
-            mock.patch("granulens.harness._read_run", return_value=None):
-        return outcome(load, *args, **kwargs)
 
 
 def _join(draw, rnd, lines):
