@@ -141,7 +141,6 @@ def cmd_inspect(args) -> int:
     print(f"{table.table_id or args.table}: n={table.n}, "
           f"{len(table.condition_attributes)} condition attributes, "
           f"decision {table.decision!r} with {len(classes)} classes")
-    payload_attrs = []
     for a in table.attributes:
         line = f"  {a.name}: {a.kind}"
         if a.observed_range is not None:
@@ -149,12 +148,10 @@ def cmd_inspect(args) -> int:
         if a.name == table.decision:
             line += " (decision)"
         print(line)
-        payload_attrs.append({"name": a.name, "kind": a.kind,
-                              "observed_range": list(a.observed_range) if a.observed_range else None})
     _emit_json(args, {"table_id": table.table_id, "n": table.n,
                       "decision": table.decision,
                       "classes": [str(c) for c in classes],
-                      "attributes": payload_attrs})
+                      "attributes": [asdict(a) for a in table.attributes]})
     return 0
 
 

@@ -4,15 +4,14 @@ Runs arrive as CSV files (``object_index,predicted[,granule]``); the model
 is never trained in-process. The model-induced partition comes from the
 granule column when present, otherwise from grouping equal predictions.
 
-A run in the plain shape that CSV writers emit for such files (see
-``_read_run``) is read from the positions of its separator bytes, its tokens
-coded by ``table.refine`` on their bytes; any other run goes to
-``reader.read_columns``, the csv path, which also composes every error.
+A run in ``reader.scan``'s grammar, as CSV writers emit such files (see
+``_read_run``), is read from its fields' bytes, its tokens coded by
+``table.code_fields``; any other run goes to ``reader.read_columns``, the
+csv path, which also composes every error.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from dataclasses import dataclass
@@ -22,18 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, UniverseMismatchError
-from .reader import convert_cells, decode_text, line_of, read_columns
-from .table import _DENSE, InformationTable, Partition, _coded, _first_rows, factorize, refine
+from .reader import convert_cells, decode_text, line_of, read_columns, scan
+from .table import InformationTable, Partition, _coded, _listed, code_fields, factorize
 from .entropy import granular_entropy
 
 _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
 #: the header line _read_run takes; group 1 is the granule column
 _HEADER = re.compile(r"object_index,predicted(,granule)?\r?\n")
-#: each byte's digit value, 10 for a non-digit, 0 for the LF before a record
-_DIGITS = np.full(256, 10, dtype=np.uint8)
-_DIGITS[ord("0"):ord("9") + 1] = np.arange(10)
-_DIGITS[ord("\n")] = 0
-_DIGITS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -84,69 +78,30 @@ class ComparisonVerdict:
 
 def _read_run(body: bytes, width: int) -> tuple[np.ndarray, list[tuple[list, np.ndarray]]] | None:
     """object_index values, and the distinct tokens and their codes per token column,
-    of a run's records in file order; ``body`` is the UTF-8 after the header line.
-
-    Returns None unless the records are in the plain shape, where csv and int()
-    read the fields as raw bytes between separators: ``width`` fields per record,
-    each record ended by LF or CRLF; no ``"``; no byte below 0x20 but a line end;
-    object_index of 1-18 ASCII digits; no field longer than the csv module's
-    limit; and a widest token no wider than the rows, and times the rows at
-    most ``_DENSE`` times the bytes. Tokens are coded byte position by
-    position, so the last two bound the number and the work of those passes.
-    """
-    if not body.endswith(b"\n") or b'"' in body:
+    of the records in ``body``, the UTF-8 after the header line, in file order. None
+    unless they are in ``reader.scan``'s grammar, each object_index is 1-18 ASCII
+    digits, and ``code_fields`` codes each token column."""
+    scanned = scan(body, width)
+    if scanned is None:
         return None
-    data = np.frombuffer(body, dtype=np.uint8)
-    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    if len(seps) % width:
-        return None
-    seps = seps.reshape(-1, width)
-    rows = len(seps)
-    crs = np.flatnonzero(data == ord("\r"))
-    # every line end an LF, and every other byte below 0x20 a CR before an LF: so
-    # the LFs are the line ends and every other separator is a comma
-    if ((data[seps[:, -1]] != ord("\n")).any() or (data[crs + 1] != ord("\n")).any()
-            or np.count_nonzero(data < 0x20) != rows + len(crs)):
-        return None
-    index = _digits(data, np.concatenate(([-1], seps[:-1, -1])), seps[:, 0])
-    last = seps[:, -1] - (data[seps[:, -1] - 1] == ord("\r"))  # a CRLF's CR ends the field
-    # token column c runs from after seps[:, c] to ends[c]
-    ends = [seps[:, c] for c in range(1, width - 1)] + [last]
-    widest = max(int((end - seps[:, c]).max()) - 1 for c, end in enumerate(ends))
-    # coding makes widest passes of rows tokens each
-    if (index is None or widest > csv.field_size_limit()
-            or widest * rows > _DENSE * len(body) or widest > rows):
-        return None
-    clean = data.copy()  # separators and line ends read as 0, which no token holds
-    clean[seps] = 0
-    clean[crs] = 0
-
-    def byte_columns(start, end):
-        for j in range(widest):
-            yield clean[np.minimum(start + j, end)]
-
-    coded = []
-    for c, end in enumerate(ends):
-        start = seps[:, c] + 1
-        codes = refine(Partition.single_block(rows), byte_columns(start, end)).block_of
-        first = _first_rows(codes)
-        coded.append(([body[i:k].decode("utf-8", "surrogatepass") for i, k in
-                       zip(start[first].tolist(), end[first].tolist())], codes))
-    return index, coded
+    data, bounds = scanned
+    index = _digits(data, *bounds(0))
+    coded = [code_fields(data, *bounds(c)) for c in range(1, width)]
+    return None if index is None or None in coded else (index, coded)
 
 
-def _digits(data: np.ndarray, lfs: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
-    """Values of the fields that run from after ``lfs`` (the LF before each; -1,
-    the LF that ends ``data``, for the first) to ``ends``, or None unless each is
-    1-18 ASCII digits within the csv module's limit."""
-    lengths = ends - lfs - 1
+def _digits(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """Values of the fields ``data[start:end]``, each the first of its record, or
+    None unless each is 1-18 ASCII digits."""
+    lengths = end - start
     top = int(lengths.max())
-    if lengths.min() < 1 or top > min(18, csv.field_size_limit()):
+    if lengths.min() < 1 or top > 18:
         return None
-    index = np.zeros(len(ends), dtype=np.int64)
-    for j in range(top, 0, -1):  # right-aligned; the LF before a field reads as a leading 0
-        digit = _DIGITS.take(data.take(np.maximum(ends - j, lfs)))
-        if digit.max() > 9:
+    index = np.zeros(len(end), dtype=np.int64)
+    for j in range(top, 0, -1):  # right-aligned; a position before a field reads as a 0
+        at = end - j
+        digit = np.where(at < start, 0, data.take(np.maximum(at, 0)) - np.uint8(ord("0")))
+        if digit.max() > 9:  # a byte below "0" wraps around above 9
             return None
         index *= 10
         index += digit
@@ -215,7 +170,7 @@ def load_run(csv_data: bytes | str, table: InformationTable,
     row_of = np.empty(n, dtype=np.int64)
     row_of[index] = np.arange(n)
     coded = [(distinct, codes[row_of]) for distinct, codes in coded]  # file order
-    run = ModelRun(run_id, *[np.asarray(d, dtype=object)[c].tolist() for d, c in coded], meta=meta)
+    run = ModelRun(run_id, *[_listed(*pair) for pair in coded], meta=meta)
     run.__dict__["_codes"] = (*coded[0], coded[-1][1])  # the tokens are their own str
     return run
 
@@ -226,9 +181,10 @@ def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:
     if len(run.predicted) != n or (run.granule is not None and len(run.granule) != n):
         raise UniverseMismatchError("run does not cover the table's universe")
     texts, predicted, blocks = run._codes
-    truth, text_id = table._decision_texts
-    hit = np.array([text_id.get(text, -1) for text in texts], dtype=np.int64)
-    correct = np.count_nonzero(hit[predicted] == truth)
+    labels, truth = table._columns[table.decision]
+    text_id = dict(zip(texts, range(len(texts))))
+    hit = np.array([text_id.get(str(label), -1) for label in labels], dtype=np.int64)
+    correct = np.count_nonzero(hit[truth] == predicted)  # the str of its label is predicted
 
     part = Partition.from_labels(blocks)
     report = granular_entropy(part, table.decision_codes)

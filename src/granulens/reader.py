@@ -1,17 +1,16 @@
 """Columnar CSV reading shared by the table and model-run loaders.
 
-``read_columns``, the csv path, transposes records into cells per column and
-composes every error; both loaders fall back to it. ``read_typed`` reads a
-table's text in one call to numpy's C parser, and returns None wherever that
-might read it otherwise than the csv path. Model runs have their own byte
-reader, ``harness._read_run``.
+``scan`` finds every field of a text in the plain grammar, where the csv
+module reads each field as the raw bytes between two separators. Both
+loaders read such a text from those bytes. ``read_columns``, the csv path,
+transposes records into cells per column and composes every error; both
+loaders fall back to it for any other text.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import warnings
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -35,6 +34,44 @@ def decode_text(data: bytes | str) -> str:
         return data.decode("utf-8-sig") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not valid UTF-8: {exc}") from None
+
+
+def scan(body: bytes, width: int) -> tuple[
+        np.ndarray, Callable[[int], tuple[np.ndarray, np.ndarray]]] | None:
+    """The bytes and fields of the records in ``body``, or None unless it is in the
+    plain grammar: ``width`` fields per record, at least 2, each record ended by LF
+    or CRLF; no ``"``; no byte below 0x20 but a line end; no field longer than the
+    csv module's limit. A table's header is record 0, so its fields are checked too.
+
+    Returns ``body`` as uint8 with each CR read as an LF, so all fields of a column
+    end on one byte, and ``bounds``: the start and end offsets of field ``c`` of
+    every record are ``bounds(c)``, computed on each call."""
+    if width < 2 or not body.endswith(b"\n") or b'"' in body:
+        return None
+    data = np.frombuffer(body, dtype=np.uint8)
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    if len(seps) % width:
+        return None
+    seps = seps.reshape(-1, width)
+    crs = np.flatnonzero(data == ord("\r"))
+    # every line end an LF, and every other byte below 0x20 a CR before an LF: so
+    # the LFs are the line ends and every other separator is a comma
+    if ((data[seps[:, -1]] != ord("\n")).any() or (data[crs + 1] != ord("\n")).any()
+            or np.count_nonzero(data < 0x20) != len(seps) + len(crs)):
+        return None
+    last = seps[:, -1] - (data[seps[:, -1] - 1] == ord("\r"))  # a CRLF's CR ends the field
+    if len(crs):
+        data = data.copy()
+        data[crs] = ord("\n")
+
+    def bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
+        start = (seps[:, c - 1] if c else np.concatenate(([-1], seps[:-1, -1]))) + 1
+        return start, seps[:, c] if c < width - 1 else last
+
+    limit = csv.field_size_limit()
+    if any(int((end - start).max()) > limit for start, end in map(bounds, range(width))):
+        return None
+    return data, bounds
 
 
 def read_columns(text: str, skipped: int = 0) -> tuple[
@@ -109,60 +146,3 @@ def convert_cells(convert: Callable, cells: Sequence, missing: tuple = (),
             if cells[len(out)] not in missing:
                 return out, len(out)
             out.append(fill)
-
-
-def _blank_filled(text: str, blank: str) -> str | None:
-    """``text`` with ``blank`` in every empty field, or None if a field may
-    exceed the csv module's limit: a field lies between two commas (or an end)."""
-    raw = text.encode("utf-8", "surrogatepass")
-    data = np.frombuffer(raw, dtype=np.uint8)
-    commas = np.flatnonzero(data == ord(","))
-    gaps = np.diff(commas, prepend=-1, append=len(data))
-    if gaps.max() > csv.field_size_limit() + 1:
-        return None
-    # an empty field follows a comma and ends at a comma, line end or the end, or starts a line
-    before, after = data.take(commas - 1, mode="clip"), data.take(commas + 1, mode="clip")
-    at = np.sort(np.concatenate([
-        commas[(gaps[1:] == 1) | (after == ord("\n")) | (after == ord("\r"))] + 1,
-        commas[(before == ord("\n")) | (before == ord("\r"))]])).tolist()
-    if not at:
-        return text
-    edges = zip([0] + at, at + [len(raw)])
-    return blank.encode().join(raw[i:j] for i, j in edges).decode("utf-8", "surrogatepass")
-
-
-def read_typed(text: str, header: list[str], kinds: list[str],
-               blank: str) -> list[np.ndarray] | None:
-    """Columns of CSV ``text``, one per dtype in ``kinds``, read by numpy's C parser.
-
-    ``header`` is the text's first line split at commas. Returns None where
-    the parser might not read the text as read_columns and float() do,
-    which then also name the line of an error: a ``"`` anywhere (quoted
-    fields are the csv module's), an empty first line, NUL or U+001C-U+001F
-    anywhere, a cell the parser rejects, no data record, or a field that may
-    exceed the csv module's limit. The text is read with ``blank`` in every
-    empty field, and a text that already holds it returns None. So does an
-    ``f8`` column holding an infinity or no number.
-    """
-    line = ",".join(header)
-    # Python 3.10's csv rejects NUL; numpy skips U+001C-U+001F as spaces, int() does
-    # not. Searching blank[0] first is a memchr, and blank's first character is rare
-    if (not line or '"' in text or not text.startswith(line)
-            or text[len(line):len(line) + 1] not in ("\r", "\n")
-            or any(c in text for c in "\x00\x1c\x1d\x1e\x1f")
-            or blank[0] in text and blank in text):
-        return None
-    text = _blank_filled(text, blank)
-    if text is None:
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data", deprecations
-            rows = np.loadtxt(io.StringIO(text, newline=""), dtype=",".join(kinds) + ",",
-                              delimiter=",", comments=None, skiprows=1, ndmin=1)
-    except (ValueError, TypeError, Warning):
-        return None
-    numbers = [rows[name] for name, kind in zip(rows.dtype.names, kinds) if kind == "f8"]
-    if any(np.isinf(col).any() or np.isnan(col).all() for col in numbers):
-        return None
-    return [rows[name] for name in rows.dtype.names]

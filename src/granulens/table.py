@@ -9,8 +9,8 @@ categorical attributes always granulate by identity.
 
 from __future__ import annotations
 
+import io
 import math
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .reader import convert_cells, decode_text, line_of, read_columns, read_typed
+from .reader import convert_cells, decode_text, line_of, read_columns, scan
 
 
 class _Missing:
@@ -32,11 +32,10 @@ class _Missing:
 
 MISSING = _Missing()
 
-#: tokens in a CSV cell that denote a missing value
-_MISSING_TOKENS = ("", "?")
-_AS_MISSING = dict.fromkeys(_MISSING_TOKENS, MISSING)
-#: read_typed's text for an empty cell: float() and np.loadtxt read it as math.nan
-_BLANK = "+NaN"
+#: the tokens in a CSV cell that denote a missing value
+_AS_MISSING = dict.fromkeys(("", "?"), MISSING)
+#: the text written into an empty numeric field for np.loadtxt: it and float() read math.nan
+_BLANK = b"+NaN"
 #: arrays indexed by key stay below _DENSE * n slots: factorize's relabel, greedy counts
 _DENSE = 8
 
@@ -68,7 +67,9 @@ class GranulationScheme:
 class InformationTable:
     """Immutable universe of objects with condition attributes and one decision.
 
-    It keeps its columns as given: a float64 ndarray per numeric attribute, else a list."""
+    It keeps its columns as given: a float64 ndarray per numeric attribute, and per
+    categorical one the pair of its distinct tokens (a list) and each object's code
+    among them (a read-only int64 ndarray, numbering the tokens by first occurrence)."""
 
     def __init__(self, attributes: Sequence[AttributeSpec],
                  columns: Mapping[str, Sequence], decision: str,
@@ -83,25 +84,27 @@ class InformationTable:
         self.table_id = table_id
         self._spec_by_name = {a.name: a for a in self.attributes}
 
-        lengths = {len(columns[n]) for n in names}
+        self._columns = {a.name: columns[a.name] for a in self.attributes}  # not copied
+        lengths = set()
+        for name, col in self._columns.items():
+            if self._spec_by_name[name].kind == "numeric":
+                if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
+                    raise DataError(f"numeric column {name!r} is not a float64 array")
+            elif not _is_coded(col):
+                raise DataError(f"categorical column {name!r} is not a pair of distinct "
+                                "tokens and their read-only int64 first-occurrence codes")
+            lengths.add(len(col) if isinstance(col, np.ndarray) else len(col[1]))
         if len(lengths) != 1:
             raise DataError("columns have unequal lengths")
         self.n = lengths.pop()
         if self.n < 1:
             raise DataError("empty table: need at least one object")
-
-        self._columns = {a.name: columns[a.name] for a in self.attributes}  # not copied
-        for name, col in self._columns.items():
-            if self._spec_by_name[name].kind == "numeric":
-                if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
-                    raise DataError(f"numeric column {name!r} is not a float64 array")
-            elif not isinstance(col, list):
-                raise DataError(f"categorical column {name!r} is not a list")
+        self._lists: dict[str, list] = {}  # categorical columns as lists, on first read
 
         dec_spec = self._spec_by_name[decision]
         if dec_spec.kind != "categorical":
             raise DataError("decision attribute must be categorical")
-        if MISSING in self._columns[decision]:
+        if MISSING in self._columns[decision][0]:
             raise DataError("decision column contains MISSING values")
 
     def attribute(self, name: str) -> AttributeSpec:
@@ -111,8 +114,12 @@ class InformationTable:
             raise DataError(f"unknown attribute {name!r}") from None
 
     def column(self, name: str):
-        self.attribute(name)
-        return self._columns[name]
+        """A numeric column's array, or a categorical one's list, built once: edits are not seen."""
+        if self.attribute(name).kind == "numeric":
+            return self._columns[name]
+        if name not in self._lists:
+            self._lists[name] = _listed(*self._columns[name])
+        return self._lists[name]
 
     @property
     def condition_attributes(self) -> list[AttributeSpec]:
@@ -120,30 +127,12 @@ class InformationTable:
 
     @property
     def decision_labels(self) -> list:
-        return self._columns[self.decision]
+        return self.column(self.decision)
 
-    @cached_property
+    @property
     def decision_codes(self) -> np.ndarray:
-        """Decision classes as first-occurrence integer codes, factorized once."""
-        codes = factorize(self.decision_labels)
-        codes.flags.writeable = False  # shared by every caller
-        return codes
-
-    @cached_property
-    def _decision_texts(self) -> tuple[np.ndarray, dict]:
-        """Each object's id among the ``str`` of the decision labels, and each str's id.
-
-        When every distinct label is a ``str``, the ids are ``decision_codes``.
-        Otherwise equal labels may differ in ``str`` (``1``, ``1.0``, ``True``),
-        so the ``str`` of every label is coded.
-        """
-        labels = self.decision_labels
-        distinct = [labels[i] for i in _first_rows(self.decision_codes)]
-        if all(type(label) is str for label in distinct):
-            texts, codes = distinct, self.decision_codes
-        else:
-            texts, codes = _coded(list(map(str, labels)))
-        return codes, dict(zip(texts, range(len(texts))))
+        """Decision classes as read-only first-occurrence integer codes."""
+        return self._columns[self.decision][1]
 
     @classmethod
     def from_columns(cls, columns: Mapping[str, Sequence], decision: str,
@@ -163,9 +152,9 @@ class InformationTable:
 
 def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mapping[str, str],
                    where: Callable[[int], str]) -> tuple[list[AttributeSpec], dict]:
-    """Specs and values (float64 arrays or lists) of ``columns``: the decision is
-    categorical, a condition column takes its kind from ``kinds`` or infers it.
-    A categorical list is kept as given, so the caller passes one it owns."""
+    """Specs and typed columns of ``columns``: the decision is categorical, a
+    condition column takes its kind from ``kinds`` or infers it. A categorical
+    column is coded once; a (tokens, codes) pair, coded on its bytes, is kept."""
     for name in kinds:
         if name not in columns:
             raise DataError(f"schema hint for unknown column {name!r}")
@@ -174,17 +163,25 @@ def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mappin
         kind = "categorical" if name == decision else kinds.get(name)
         if name in kinds and kind not in ("categorical", "numeric"):
             raise DataError(f"invalid kind {kind!r} for column {name!r}")
-        spec, values = _typed_column(name, cells, kind, where)
+        if isinstance(cells, tuple):
+            spec, values = AttributeSpec(name, "categorical"), cells
+        else:
+            spec, values = _typed_column(name, cells, kind, where)
+        if values is None:
+            try:
+                values = _coded(cells)
+            except TypeError:  # the dict of tokens met an unhashable cell
+                raise DataError(f"categorical column {name!r} has an unhashable cell") from None
+            values[1].flags.writeable = False
         specs.append(spec)
-        typed[name] = values if values is not None else (
-            list(cells) if isinstance(cells, np.ndarray) else cells)
+        typed[name] = values
     return specs, typed
 
 
 def _typed_column(name: str, cells: Sequence, kind: str | None,
                   where: Callable[[int], str]) -> tuple[AttributeSpec, np.ndarray | None]:
     """Spec of one column, with its values as a new float64 array if it is
-    numeric, or None for a categorical column (the caller keeps its cells).
+    numeric, or None for a categorical column (the caller codes its cells).
 
     ``kind`` None infers it: numeric iff some cell is not MISSING and every
     such cell parses with float(). NaN is missing. An infinity in a numeric
@@ -227,22 +224,14 @@ def load_table(csv_data: bytes | str, decision_name: str,
     parses as a real number, unless ``schema_hints`` overrides its kind.
     Empty cells and ``?`` are MISSING; in a numeric column so is a NaN
     cell, and an infinite one is a DataError. The decision column must be
-    total and is always categorical. Each numeric cell is parsed once, by
-    ``reader.read_typed`` or else by one float() call.
+    total and is always categorical. Without hints a text in
+    ``reader.scan``'s grammar is read from its bytes (see ``_read_plain``);
+    any other text by ``read_columns`` and one float() call per numeric cell.
     """
     text = decode_text(csv_data)
-    lines = re.match(r"([^\r\n]*)[\r\n]*([^\r\n]*)", text)
-    header, blanks, ragged = lines[1].split(","), [], None
-    # kinds from the first record: a word there makes its column categorical
-    # on the exact path too; a word further down fails the parse
-    kinds = ["O" if name == decision_name or convert_cells(
-        float, [cell.strip()], _MISSING_TOKENS)[1] is not None else "f8"
-        for name, cell in zip(header, lines[2].split(",") + [""] * len(header))]
-    raw = None if schema_hints else read_typed(text, header, kinds, _BLANK)
-    as_missing = {**_AS_MISSING, _BLANK: MISSING}
-    if raw is None:
-        header, raw, blanks, ragged = read_columns(text)
-        as_missing = _AS_MISSING
+    read = None if schema_hints else _read_plain(text.encode("utf-8", "surrogatepass"),
+                                                   decision_name)
+    header, raw, blanks, ragged = read or read_columns(text)
     if header is None:
         raise DataError("empty file")
     if len(set(header)) != len(header):
@@ -254,16 +243,67 @@ def load_table(csv_data: bytes | str, decision_name: str,
                         f"expected {len(header)} cells, got {ragged[1]}")
     if not len(raw[0]):
         raise DataError("empty file: no data rows")
-
-    columns = {}
-    for name, cells in zip(header, raw):
-        if not isinstance(cells, np.ndarray) or cells.dtype == object:
-            cells = list(map(str.strip, cells))
-            cells = list(map(as_missing.get, cells, cells))  # a missing token to MISSING
-        columns[name] = cells
-    specs, typed = _typed_columns(columns, decision_name, schema_hints or {},
+    if read is None:  # each cell stripped, a missing token made MISSING
+        raw = [list(map(_AS_MISSING.get, cells, cells))
+               for cells in (list(map(str.strip, cells)) for cells in raw)]
+    specs, typed = _typed_columns(dict(zip(header, raw)), decision_name, schema_hints or {},
                                   lambda row: f"line {line_of(row, blanks)}")
     return InformationTable(specs, typed, decision_name, table_id=table_id)
+
+
+def _read_plain(body: bytes, decision: str) -> tuple[list[str], list, list, None] | None:
+    """``read_columns``' result for a table in ``reader.scan``'s grammar, its columns
+    typed, or None where the csv path must read it.
+
+    The first data record sets the kinds as the csv path's typing would: the
+    decision, and a column whose cell there is neither missing nor a number, are
+    text. Text is coded on its bytes, then its distinct tokens are stripped, made
+    MISSING if missing, and coded again. One np.loadtxt call reads the other
+    columns, with ``_BLANK`` in each empty field. None where it rejects a field
+    (``?``, a blank-only field, ``1_0``, non-ASCII, a word further down), reads an
+    infinity (the csv path names its line) or a column of NaN only (which the csv
+    path may call categorical); for one column (a blank line would read as an
+    empty field), no data record, or a token too wide to code.
+    """
+    width = body[:body.find(b"\n")].count(b",") + 1
+    scanned = scan(body, width)
+    if scanned is None:
+        return None
+    data, bounds = scanned
+    header, raw, numeric, empty = [], [], [], []
+    for c in range(width):
+        start, end = bounds(c)
+        if len(start) < 2:
+            return None
+        name, first = (data[i:k].tobytes().decode("utf-8", "surrogatepass")
+                       for i, k in zip(start[:2].tolist(), end[:2].tolist()))
+        header.append(name)
+        start, end = start[1:], end[1:]
+        if name == decision or convert_cells(float, [first.strip()], _AS_MISSING)[1] is not None:
+            fields = code_fields(data, start, end)
+            if fields is None:
+                return None
+            tokens, ids = _coded([_AS_MISSING.get(t, t) for t in map(str.strip, fields[0])])
+            codes = ids[fields[1]]
+            codes.flags.writeable = False
+            raw.append((tokens, codes))
+        else:
+            numeric.append(c)
+            empty.append(start[start == end])
+            raw.append(None)
+    if numeric:
+        at = np.sort(np.concatenate(empty)).tolist()
+        filled = _BLANK.join(body[i:k] for i, k in zip([0] + at, at + [len(body)]))
+        try:
+            values = np.loadtxt(io.BytesIO(filled), dtype=np.float64, delimiter=",", comments=None,
+                                skiprows=1, usecols=numeric, ndmin=2, encoding="latin-1")
+        except ValueError:
+            return None
+        if np.isinf(values).any() or np.isnan(values).all(axis=0).any():
+            return None
+        for j, c in enumerate(numeric):
+            raw[c] = values[:, j]
+    return header, raw, [], None
 
 
 def factorize(tokens: Iterable) -> np.ndarray:
@@ -287,25 +327,33 @@ def factorize(tokens: Iterable) -> np.ndarray:
         leaders = keys[first[keys] == rows]  # in row order
         first[leaders] = np.arange(len(leaders))  # now each key's id
         return first[keys]
-    seen: dict = {}
-    codes = []
-    for t in tokens:
-        code = seen.get(t)
-        if code is None:
-            code = seen[t] = len(seen)
-        codes.append(code)
-    return np.asarray(codes, dtype=np.int64)
+    return _coded(tokens)[1]
 
 
-def _first_rows(codes: np.ndarray) -> list[int]:
-    """The row where each of the first-occurrence ``codes`` first appears, in code order."""
-    return np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1)).tolist()
+def _is_coded(column) -> bool:
+    """True for a categorical column as InformationTable keeps it: a list of distinct
+    tokens, and read-only int64 codes that use every token and that factorize returns
+    as they are (so 1-D first-occurrence codes)."""
+    try:
+        tokens, codes = column
+        return (type(tokens) is list and codes.dtype == np.int64 and not codes.flags.writeable
+                and len(set(tokens)) == len(tokens) and (not len(codes) or factorize(codes) is codes)
+                and int(codes.max(initial=-1)) + 1 == len(tokens))
+    except (ValueError, TypeError, AttributeError):  # not such a pair, or an unhashable token
+        return False
 
 
-def _coded(tokens: Sequence) -> tuple[list, np.ndarray]:
-    """The distinct tokens in first-occurrence order, and factorize's codes."""
-    codes = factorize(tokens)
-    return [tokens[i] for i in _first_rows(codes)], codes
+def _listed(tokens: list, codes: np.ndarray) -> list:
+    """The list of ``tokens[code]`` for each of ``codes``."""
+    return np.fromiter(tokens, dtype=object, count=len(tokens))[codes].tolist()
+
+
+def _coded(tokens: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct tokens in first-occurrence order, and each token's code among
+    them, by one pass through a dict of tokens."""
+    ids: dict = {}
+    codes = np.array([ids.setdefault(t, len(ids)) for t in tokens], dtype=np.int64)
+    return list(ids), codes
 
 
 @dataclass(frozen=True)
@@ -332,8 +380,8 @@ def discretize(table: InformationTable, scheme: GranulationScheme) -> DiscreteVi
 
     Numeric value v with observed range [lo, hi] and b bits maps to
     floor((v-lo) / ((hi-lo)/2**b)), clamped to 2**b - 1 at the top edge;
-    MISSING maps to the dedicated code 2**b. Categorical values map to
-    first-occurrence ordinals regardless of bits, the decision's cached.
+    MISSING maps to the dedicated code 2**b. Categorical values map to the
+    table's first-occurrence codes regardless of bits.
     """
     for name, b in scheme.bits.items():
         spec = table.attribute(name)
@@ -346,13 +394,11 @@ def discretize(table: InformationTable, scheme: GranulationScheme) -> DiscreteVi
 
     codes = {}
     for spec in table.attributes:
-        col = table.column(spec.name)
         if spec.kind == "numeric":
-            codes[spec.name] = _bin_numeric(np.asarray(col), spec.observed_range,
+            codes[spec.name] = _bin_numeric(table.column(spec.name), spec.observed_range,
                                             scheme.bits_for(spec.name))
         else:
-            codes[spec.name] = (table.decision_codes if spec.name == table.decision
-                                else factorize(col))
+            codes[spec.name] = table._columns[spec.name][1]
     return DiscreteView(table, scheme, codes)
 
 
@@ -434,6 +480,27 @@ def refine(partition: Partition, columns: Iterable[np.ndarray]) -> Partition:
             width = int(col.max()).bit_length()
         keys, used, packed = (keys << width) | col, used + width, True
     return Partition(factorize(keys)) if packed else partition
+
+
+def code_fields(data: np.ndarray, start: np.ndarray,
+                end: np.ndarray) -> tuple[list[str], np.ndarray] | None:
+    """The distinct byte fields ``data[start:end]`` as ``str``, in first-occurrence
+    order, and each field's code among them. ``data`` is UTF-8, and every field
+    ends before the same byte, which none holds (``reader.scan``'s separators).
+
+    Fields are coded byte position by position, each position one column for
+    ``refine``, a field's end byte read past its end. So None is returned where
+    the widest field is wider than the number of fields, or times that number
+    more than ``_DENSE`` times the bytes: that bounds the passes and their work.
+    """
+    rows, widest = len(start), int((end - start).max())
+    if widest > rows or widest * rows > _DENSE * len(data):
+        return None
+    byte_columns = (data[np.minimum(start + j, end)] for j in range(widest))
+    codes = refine(Partition.single_block(rows), byte_columns).block_of
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))  # first rows
+    return [data[i:k].tobytes().decode("utf-8", "surrogatepass") for i, k in
+            zip(start[first].tolist(), end[first].tolist())], codes
 
 
 def partition_by(view: DiscreteView, attrs: Sequence[str]) -> Partition:

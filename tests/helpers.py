@@ -10,7 +10,8 @@ and build a separate partition for each metric, or one refined partition
 per greedy candidate. The relabel oracle ranks integer keys with
 ``np.unique`` and orders the ranks by an argsort of their first rows. The granular-entropy
 oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
-CSV loader oracles walk the input row by row and cell by cell.
+CSV loader oracles walk the input row by row and cell by cell, and
+``_exactly`` runs a loader with only its csv path.
 """
 
 import csv
@@ -331,14 +332,6 @@ def evaluate_run_on_tokens(table, run):
                       float(bf), float(gamma), part.block_count, fallback)
 
 
-def decision_texts_by_str(table):
-    """InformationTable._decision_texts as it once was: the str of every label coded
-    by first occurrence, and each str's id."""
-    ids = {}
-    codes = [ids.setdefault(str(label), len(ids)) for label in table.decision_labels]
-    return np.array(codes, dtype=np.int64), ids
-
-
 def granular_entropy_by_dot(partition, labels):
     """(per_block, H(D|P)) as granular_entropy built them eagerly, H by np.dot over all blocks."""
     counts = _label_matrix(partition, labels)
@@ -455,6 +448,7 @@ def load_table_by_rows(csv_data, decision_name, schema_hints=None, table_id=""):
             specs.append(AttributeSpec(name, "numeric", _observed_range(parsed)))
         else:
             specs.append(AttributeSpec(name, "categorical"))
+            columns[name] = coded_by_dict(col)
     return InformationTable(specs, columns, decision_name, table_id=table_id)
 
 
@@ -527,7 +521,16 @@ def outcome(load, *args, **kwargs):
 
 
 def _exactly(load, *args, **kwargs):
-    """Outcome of ``load`` with read_typed and the run byte reader declining every text."""
-    with mock.patch("granulens.table.read_typed", return_value=None), \
-            mock.patch("granulens.harness._read_run", return_value=None):
+    """Outcome of ``load`` with the byte scanner declining every text, so both
+    loaders read by the csv path."""
+    with mock.patch("granulens.table.scan", return_value=None), \
+            mock.patch("granulens.harness.scan", return_value=None):
         return outcome(load, *args, **kwargs)
+
+
+def coded_by_dict(cells):
+    """(distinct cells, read-only first-occurrence codes) by one dict pass."""
+    ids = {}
+    codes = np.array([ids.setdefault(cell, len(ids)) for cell in cells], dtype=np.int64)
+    codes.flags.writeable = False
+    return list(ids), codes

@@ -9,15 +9,17 @@ from hypothesis import given, settings, strategies as st
 from granulens import (
     DataError,
     EvalReport,
+    GranulationScheme,
     InformationTable,
     ModelRun,
     compare_runs,
+    discretize,
     evaluate_run,
     load_run,
     load_table,
 )
 
-from helpers import (decision_texts_by_str, evaluate_run_on_tokens, load_run_by_rows,
+from helpers import (evaluate_run_on_tokens, load_run_by_rows,
                      random_table, run_csv)
 
 
@@ -267,6 +269,8 @@ def test_replaced_run_is_coded_again(toy8):
 
 
 def test_decision_factorized_once_per_table(monkeypatch, toy8_csv):
+    """The table codes its categorical columns as it loads: after that, discretize
+    factorizes nothing, and evaluating a run never factorizes the decision labels."""
     table = load_table(toy8_csv, "d")
     seen = []
     for mod in [m for name, m in sys.modules.items()
@@ -274,27 +278,29 @@ def test_decision_factorized_once_per_table(monkeypatch, toy8_csv):
         orig = mod.factorize
 
         def counting(tokens, orig=orig):
-            seen.append(tokens is table.decision_labels)
+            seen.append(tokens)
             return orig(tokens)
         monkeypatch.setattr(mod, "factorize", counting)
+    view = discretize(table, GranulationScheme.uniform(table, 2))
+    assert seen == [] and view.codes_for("d") is table.decision_codes
     run = ModelRun("r", list(table.decision_labels), granule=[str(i % 3) for i in range(8)])
     reports = [evaluate_run(table, run) for _ in range(3)]
     assert reports[0] == reports[1] == reports[2]
-    assert seen.count(True) == 1
+    # the codes are returned as they are; the labels are never coded again
+    assert not any(t is table.decision_labels for t in seen)
 
 
 #: decision labels whose str differ although some are equal: 1 == 1.0 == True
-LABEL = st.sampled_from(["a", np.str_("a"), "b", np.str_("b"), "1", 1, 1.0, True,
-                         False, 0, 2.5, "2.5", "True"])
+LABELS = ["a", np.str_("a"), "b", np.str_("b"), "1", 1, 1.0, True, False, 0, 2.5, "2.5", "True"]
+LABEL = st.sampled_from(LABELS)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(LABEL, min_size=1, max_size=12))
-def test_decision_texts_match_str_oracle(labels):
+@given(st.lists(LABEL, min_size=1, max_size=12), st.randoms(use_true_random=False))
+def test_decision_texts_match_str_oracle(labels, rnd):
+    """Accuracy compares the str of each label with the prediction: labels that are
+    equal but print differently, or differ but print alike, are scored by their str."""
     table = InformationTable.from_columns({"d": labels}, "d")
-    codes, ids = table._decision_texts
-    want_codes, want_ids = decision_texts_by_str(table)
-    assert codes.tolist() == want_codes.tolist()
-    assert ids == want_ids
-    if all(type(label) is str for label in labels):
-        assert codes is table.decision_codes
+    pool = [str(label) for label in LABELS] + ["x"]
+    run = ModelRun("r", [rnd.choice(pool) for _ in labels])
+    assert evaluate_run(table, run) == evaluate_run_on_tokens(table, run)

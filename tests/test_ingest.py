@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 from granulens import (MISSING, AttributeSpec, DataError, InformationTable, load_run,
                        load_table, read_curve)
 from granulens.cli import run_cli
-from granulens.reader import read_columns, read_typed
+from granulens.reader import read_columns
 from granulens.table import _BLANK, _DENSE, factorize
 
+from conftest import DATA_DIR
 from helpers import (_exactly, factorize_by_unique, load_run_by_rows, load_table_by_rows,
                      outcome, rare, run_csv)
 
@@ -27,6 +28,7 @@ NUMBER = st.one_of(
     st.sampled_from(["-0.0", "0.0", "0", "-0", "+4", ".5", "5.", "1e3",
                      "-2.5E-3", "7E+2", "1e-300", "1_0", "1_000.5"]))
 MISSING_CELL = st.sampled_from(["", "?", " ? ", "\t"])
+BLANK = _BLANK.decode()
 WORD = st.sampled_from(["a", "b", "x y", "a,b", 'q"t', "Ω", "1x", "--", "0x1"])
 
 
@@ -181,10 +183,34 @@ class TestNonFiniteAndNan:
 
     def test_constructor_takes_typed_columns_only(self):
         specs = [AttributeSpec("x", "numeric"), AttributeSpec("d", "categorical")]
+
+        def codes(values, writeable=False):
+            out = np.array(values, dtype=np.int64)
+            out.flags.writeable = writeable
+            return out
+
+        x = np.array([1.0, 2.0])
         with pytest.raises(DataError, match="numeric column 'x' is not a float64 array"):
-            InformationTable(specs, {"x": ["1", "2"], "d": ["p", "q"]}, "d")
-        with pytest.raises(DataError, match="categorical column 'd' is not a list"):
-            InformationTable(specs, {"x": np.array([1.0, 2.0]), "d": ("p", "q")}, "d")
+            InformationTable(specs, {"x": ["1", "2"], "d": (["p", "q"], codes([0, 1]))}, "d")
+        for column in [["p", "q"], ("p", "q"),
+                       (["p", "q"], codes([0, 1], writeable=True)),
+                       (["p", "q"], codes([1, 0])),  # not numbered by first occurrence
+                       (["p", "q"], codes([0, -1])),
+                       (["p", "p"], codes([0, 1])),  # duplicate tokens
+                       (["p", "q", "r"], codes([0, 1])),  # a token no object has
+                       (["p"], codes([0, 1])),
+                       ([["p"], ["q"]], codes([0, 1])),  # unhashable tokens
+                       (("p", "q"), codes([0, 1])), (["p", "q"], [0, 1])]:
+            with pytest.raises(DataError, match="categorical column 'd' is not a pair"):
+                InformationTable(specs, {"x": x, "d": column}, "d")
+        with pytest.raises(DataError, match="columns have unequal lengths"):
+            InformationTable(specs, {"x": x, "d": (["p"], codes([0, 0, 0]))}, "d")
+        table = InformationTable(specs, {"x": x, "d": (["q", "p"], codes([0, 1]))}, "d")
+        assert table.decision_labels == ["q", "p"] and table.column("d") is table.decision_labels
+
+    def test_unhashable_categorical_cell_is_data_error(self):
+        with pytest.raises(DataError, match="categorical column 'c' has an unhashable cell"):
+            InformationTable.from_columns({"c": [[1], [2]], "d": ["p", "q"]}, "d")
 
     def test_from_columns_numeric_kind_with_text_is_data_error(self):
         with pytest.raises(DataError, match="row 1 has unparsable cell 'w'"):
@@ -484,15 +510,15 @@ class TestCsvModuleErrors:
         assert "line 5: field larger than field limit" in capsys.readouterr().err
 
 
-# --- numpy's C parser (reader.read_typed) against the exact path -------------
+# --- the byte reader of tables (reader.scan, np.loadtxt) against the exact path
 
-#: characters on whose presence read_typed leaves a text to the exact path
+#: characters on whose presence the byte scanner leaves a text to the exact path
 TRIGGERS = ["\x00", "\x1c", "\x1d", "\x1e", "\x1f"]
 TYPED_NUMBER = st.one_of(
     st.integers(-1000, 1000).map(str), st.floats(-1e6, 1e6, allow_nan=False).map(repr),
     st.sampled_from(["nan", "-nan", "NaN", "-0.0", "+4", ".5", "5.", "1e-300", " 7 ",
                      "\xa05\u3000", '"4"', '" 4"', '"2\n"']))
-#: cells read_typed reads otherwise or not at all, or that are errors
+#: cells np.loadtxt reads otherwise or not at all, or that are errors
 ODD_NUMBER = st.sampled_from(["inf", "-inf", "1e999", "-1e999", "\u0661", "0x10",
                               "\ufeff1", '"1,5"', "1_0", "nan(1)"])
 #: raw CSV text of one cell, quotes included
@@ -615,11 +641,11 @@ MIXED_NUMBER = st.one_of(
     st.integers(-1000, 1000).map(str), st.floats(-1e6, 1e6, allow_nan=False).map(repr),
     st.sampled_from(["-0.0", "+4", ".5", "5.", "1e-300", " 7 ", "\xa05\u3000"]))
 MIXED_WORD = st.sampled_from(["a", "b", "x y", " a ", "\u03a9", "0x1", "--", "inf1", "p\u2028q"] * 4
-                             + ["NaN", _BLANK, " " + _BLANK])
+                             + ["NaN", BLANK, " " + BLANK])
 #: cells the typed path reads as missing
 MIXED_GAP = st.sampled_from(["", "", "", "nan", "NaN", "-nan"])
-#: cells on which it falls back in a numeric column, or the sentinel anywhere
-MIXED_ODD = st.sampled_from(["?", " ", " ? ", "\t", _BLANK, " " + _BLANK, "1_0", "inf"])
+#: cells on which it falls back in a numeric column, and the blank's sentinel
+MIXED_ODD = st.sampled_from(["?", " ", " ? ", "\t", BLANK, " " + BLANK, "1_0", "inf"])
 
 
 @st.composite
@@ -675,12 +701,15 @@ def test_typed_mixed_table_matches_exact_path_and_row_oracle(text):
 
 
 def test_blank_reads_as_nan_with_the_bytes_of_math_nan():
-    """The sentinel read_typed writes into empty cells: np.loadtxt (down to the
-    declared numpy floor) and float() must both read it as math.nan."""
-    rows = np.loadtxt(io.StringIO(f"a,d\n{_BLANK},p\n"), dtype="f8,O,", delimiter=",",
-                      comments=None, skiprows=1, ndmin=1)
+    """The sentinel the table byte reader writes into empty numeric fields, read by
+    its own np.loadtxt call: numpy (down to the declared floor) and float() must
+    both read it as math.nan, and read only the asked columns."""
+    text = f"a,w,b,d\r\n{BLANK},{BLANK} x,-0.0,p\n2.5e-3,\u2028,{BLANK},q\n".encode()
+    values = np.loadtxt(io.BytesIO(text), dtype=np.float64, delimiter=",", comments=None,
+                        skiprows=1, usecols=[0, 2], ndmin=2, encoding="latin-1")
     nan = np.float64(math.nan).tobytes()
-    assert rows["f0"].tobytes() == np.float64(float(_BLANK)).tobytes() == nan
+    assert np.float64(float(BLANK)).tobytes() == nan
+    assert values.tobytes() == np.array([[math.nan, -0.0], [2.5e-3, math.nan]]).tobytes()
 
 
 def _exact_reads(load, *args, **kwargs):
@@ -701,21 +730,30 @@ class TestTypedPathSelection:
     # a blank line, a blank cell, and a column whose only number is -2.5e3
     CLEAN = "a,b,d\r\n1,nan,p\r\n\r\n 3,-2.5e3,q;r\r\n+4,,p\u2028\r\n"
     QUOTED = 'a,b,d\r\n1,-2.5e3,p\r\n\r\n" 3",nan,"q,r"\r\n+4,-0.0,p\u2028\r\n'
+    # CLEAN without the blank line, which sends a table to the csv path, and with a
+    # fourth row, so that no token is wider than the rows (p\u2028 takes 4 bytes)
+    PLAIN = CLEAN.replace("\r\n\r\n", "\r\n") + "-1,,q\r\n"
 
     def test_clean_numeric_table_is_read_typed(self):
-        assert _exact_reads(load_table, self.CLEAN, "d") == 0
-        assert _exact_reads(load_table, self.CLEAN.encode("utf-8-sig"), "d") == 0
-        got = _table_state(outcome(load_table, self.CLEAN, "d"))
-        assert got == _table_state(_exactly(load_table, self.CLEAN, "d"))
+        assert _exact_reads(load_table, self.PLAIN, "d") == 0
+        assert _exact_reads(load_table, self.PLAIN.encode("utf-8-sig"), "d") == 0
+        got = _table_state(outcome(load_table, self.PLAIN, "d"))
+        assert got == _table_state(_exactly(load_table, self.PLAIN, "d"))
+        assert _exact_reads(load_table, self.CLEAN, "d") == 1  # the blank line
 
     @pytest.mark.parametrize("old, new", [
         ("-2.5e3", ""), ("-2.5e3", "?"), ("-2.5e3", "x"), ("nan", "inf"), ("a,b", '"a",b'),
         ("+4", "1_0"), (" 3,-2.5e3,q;r", '" 3",-2.5e3,"q,r"')]
-        + [("+4", char + "4") for char in TRIGGERS])
+        + [("+4", char + "4") for char in TRIGGERS]
+        + [("\r\n 3", "\r\n\r\n 3"),  # a blank line
+           ("p\r\n", "p\r"),  # a bare CR
+           ("q;r", "q;rrr"),  # a token wider than the rows
+           ("a,b", "a" * 131_073 + ",b")])  # a header field over the csv limit
     def test_table_falls_back(self, old, new):
-        text = self.CLEAN.replace(old, new, 1)
+        text = self.PLAIN.replace(old, new, 1)
         assert _exact_reads(load_table, text, "d") == 1
-        assert read_typed(text, ["a", "b", "d"], ["f8", "f8", "O"], _BLANK) is None
+        assert _table_state(outcome(load_table, text, "d")) == _table_state(
+            _exactly(load_table, text, "d"))
 
     @pytest.mark.parametrize("text, decision", [
         (QUOTED, "nope"), (QUOTED.replace("b", "a", 1), "d"),
@@ -725,8 +763,13 @@ class TestTypedPathSelection:
         assert outcome(load_table, text, decision).startswith("DataError: ")
 
     def test_table_with_hints_or_only_a_header_falls_back(self):
-        assert _exact_reads(load_table, self.CLEAN, "d", schema_hints={"a": "numeric"}) == 1
+        assert _exact_reads(load_table, self.PLAIN, "d", schema_hints={"a": "numeric"}) == 1
         assert _exact_reads(load_table, "a,d\n\n", "d") == 1
+        # one column: a blank line would read as an empty field
+        for text in ("d\np\nq\n", "d\np\n\nq\n"):
+            assert _exact_reads(load_table, text, "d") == 1
+            assert _table_state(outcome(load_table, text, "d")) == _table_state(
+                _exactly(load_table, text, "d"))
 
     @pytest.mark.parametrize("run_id", [None, "r"])
     @pytest.mark.parametrize("header", [("object_index", "predicted"),
@@ -744,13 +787,15 @@ class TestTypedPathSelection:
 
     # the sweep benchmark's table in small: blanks at the start, inside and at
     # the end of lines, a categorical column and a decision of words
-    MIXED = "x0,c0,x1,y,x2\n0.5,c1,,no,\n,c0,-1.25,yes,3\n\n1e-3,c1,2,no,nan\n-0.0,c2,7,yes,4\n"
+    MIXED = "x0,c0,x1,y,x2\n0.5,c1,,no,\n,c0,-1.25,yes,3\n1e-3,c1,2,no,nan\n-0.0,c2,7,yes,4\n"
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
     def test_mixed_table_with_blanks_is_read_typed(self, eol):
         text = self.MIXED.replace("\n", eol)
-        for variant in (text, text.encode("utf-8-sig"), text + "5,c0,1,no,"):
-            assert _exact_reads(load_table, variant, "y") == 0
+        # a bare CR, and a missing final line end, send a table to the csv path
+        for variant, exact in [(text, eol == "\r"), (text.encode("utf-8-sig"), eol == "\r"),
+                               (text + "5,c0,1,no,", 1)]:
+            assert _exact_reads(load_table, variant, "y") == exact
             got = _table_state(outcome(load_table, variant, "y"))
             assert got == _table_state(_exactly(load_table, variant, "y"))
         table = load_table(text, "y")
@@ -759,15 +804,25 @@ class TestTypedPathSelection:
         assert np.isnan(table.column("x2")[[0, 2]]).all()
 
     @pytest.mark.parametrize("old, new", [
-        ("1e-3", _BLANK), ("c2", _BLANK), ("1e-3", "?"), ("1e-3", " "), ("1e-3", "w"),
-        ("c0,-1", '"c0",-1')])
+        ("1e-3", "?"), ("1e-3", " "), ("1e-3", "w"), ("c0,-1", '"c0",-1')])
     def test_mixed_table_falls_back(self, old, new):
         text = self.MIXED.replace(old, new, 1)
         assert _exact_reads(load_table, text, "y") == 1
+        assert _table_state(outcome(load_table, text, "y")) == _table_state(
+            _exactly(load_table, text, "y"))
+
+    @pytest.mark.parametrize("old, new", [
+        ("1e-3", BLANK), ("c2", BLANK), ("c2", " c0 "), ("c2", " ? "), ("no,\n,c0", "no,\n,")])
+    def test_mixed_table_with_odd_tokens_is_read_typed(self, old, new):
+        """The sentinel reads as NaN in a number column, as float() reads it, and is a
+        token in a text column; padded and missing tokens merge after coding."""
+        text = self.MIXED.replace(old, new, 1)
+        assert _exact_reads(load_table, text, "y") == 0
+        assert _table_state(outcome(load_table, text, "y")) == _table_state(
+            _exactly(load_table, text, "y"))
 
     def test_all_blank_numeric_column_falls_back(self):
         text = "x0,c0,x1,y\n0.5,c1,,no\n,c0,,yes\n"
-        assert read_typed(text, ["x0", "c0", "x1", "y"], ["f8", "O", "f8", "O"], _BLANK) is None
         assert _exact_reads(load_table, text, "y") == 1
         assert load_table(text, "y").attribute("x1").kind == "categorical"
 
@@ -877,6 +932,57 @@ class TestRunByteReaderPath:
         run = _run_read_alike(run_csv(rows, header=("object_index", "predicted", "granule")),
                               table, exact)
         assert run.granule[7] == "w" * width
+
+
+def _bench_shaped_table(shape, n=400):
+    """(text, decision) of a table shaped as a benchmark workload writes it."""
+    rng = np.random.default_rng(3)
+
+    def numbers(values, gaps=None):
+        cells = [repr(v) for v in np.round(values, 6).tolist()]
+        for i in np.flatnonzero(gaps if gaps is not None else []).tolist():
+            cells[i] = ""
+        return cells
+
+    def words(prefix, k):
+        return [f"{prefix}{v}" for v in rng.integers(0, k, n).tolist()]
+
+    gaps = rng.random((n, 4)) < 0.05
+    columns = {
+        "sweep": [numbers(rng.normal(size=n), gaps[:, j]) for j in range(4)]
+        + [words("c", 6), words("g", 4), [("no", "yes")[v] for v in rng.integers(0, 2, n)]],
+        "compare": [numbers(rng.normal(10, 3, n), gaps[:, 0]), numbers(rng.uniform(size=n), gaps[:, 1]),
+                    words("k", 5), [("lo", "mid", "hi")[v] for v in rng.integers(0, 3, n)],
+                    words("", 3)],
+        "reduce": [numbers(rng.uniform(size=n)) for _ in range(20)] + [words("", 2)],
+    }[shape]
+    header = [f"a{j}" for j in range(len(columns) - 1)] + ["d"]
+    return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*columns)), "d"
+
+
+@pytest.mark.parametrize("shape", ["sweep", "compare", "reduce"])
+def test_bench_shaped_table_is_read_by_one_float_loadtxt(shape):
+    text, decision = _bench_shaped_table(shape)
+    calls, orig = [], np.loadtxt
+
+    def loadtxt(*args, **kwargs):
+        calls.append(orig(*args, **kwargs))
+        return calls[-1]
+
+    with mock.patch("numpy.loadtxt", loadtxt):
+        assert _exact_reads(load_table, text, decision) == 0
+    assert [values.dtype for values in calls] == [np.float64]
+    want = _table_state(load_table_by_rows(text, decision))
+    assert _table_state(load_table(text, decision)) == want
+
+
+@pytest.mark.parametrize("name, decision", [("toy8.csv", "d"),
+                                            ("titanic_synthetic.csv", "Survived")])
+def test_shipped_tables_are_read_typed(name, decision):
+    data = (DATA_DIR / name).read_bytes()
+    assert _exact_reads(load_table, data, decision) == 0
+    assert _table_state(outcome(load_table, data, decision)) == _table_state(
+        _exactly(load_table, data, decision))
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
