@@ -4,7 +4,7 @@ An :class:`InformationTable` holds the universe U (rows 0..n-1), typed
 attribute columns, and one designated categorical decision attribute.
 Numeric attributes are granulated by equal-width binning over the observed
 range at a chosen precision of ``b`` bits (2**b bins plus a missing bin);
-categorical attributes always granulate by identity.
+categorical attributes, coded once when the table is built, by identity.
 """
 
 from __future__ import annotations

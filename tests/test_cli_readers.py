@@ -68,7 +68,8 @@ def cli_inputs(draw):
             col[rnd.randrange(n)] = rnd.choice(["inf", "-1e999"])
         columns.append(col)
     labels = [rnd.choice(LABELS) for _ in range(n)]
-    columns.append([f" {v}" if rare(rnd, 0.03) else v for v in labels])
+    columns.append([rnd.choice(["", "?"]) if rare(rnd, 0.01) else f" {v}" if rare(rnd, 0.03)
+                    else v for v in labels])
     names = [f"x{i}" for i in range(len(kinds))] + ["d"]
     if draw(st.booleans()):  # the decision need not be last
         names.insert(0, names.pop())
