@@ -182,6 +182,8 @@ def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:
         raise UniverseMismatchError("run does not cover the table's universe")
     texts, predicted, blocks = run._codes
     labels, truth = table._columns[table.decision]
+    if not all(type(label) is str for label in labels):  # equal labels may differ in str
+        labels, truth = table.decision_labels, slice(None)
     text_id = dict(zip(texts, range(len(texts))))
     hit = np.array([text_id.get(str(label), -1) for label in labels], dtype=np.int64)
     correct = np.count_nonzero(hit[truth] == predicted)  # the str of its label is predicted

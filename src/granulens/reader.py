@@ -39,15 +39,17 @@ def decode_text(data: bytes | str) -> str:
 def scan(body: bytes, width: int) -> tuple[
         np.ndarray, Callable[[int], tuple[np.ndarray, np.ndarray]]] | None:
     """The bytes and fields of the records in ``body``, or None unless it is in the
-    plain grammar: ``width`` fields per record, at least 2, each record ended by LF
-    or CRLF; no ``"``; no byte below 0x20 but a line end; no field longer than the
-    csv module's limit. A table's header is record 0, so its fields are checked too.
+    plain grammar: ``width`` fields per record, at least 2, each record ended by LF,
+    CRLF or (the last) the end of the text; no ``"``; no byte below 0x20 but a line
+    end; no field longer than the csv module's limit. A table's header is record 0,
+    so its fields are checked too.
 
-    Returns ``body`` as uint8 with each CR read as an LF, so all fields of a column
-    end on one byte, and ``bounds``: the start and end offsets of field ``c`` of
-    every record are ``bounds(c)``, computed on each call."""
-    if width < 2 or not body.endswith(b"\n") or b'"' in body:
+    Returns ``body`` as uint8, ended by an LF and with each CR read as an LF, so all
+    fields of a column end on one byte, and ``bounds``: the start and end offsets of
+    field ``c`` of every record are ``bounds(c)``, computed on each call."""
+    if width < 2 or b'"' in body:
         return None
+    body += b"" if body.endswith(b"\n") else b"\n"
     data = np.frombuffer(body, dtype=np.uint8)
     seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
     if len(seps) % width:

@@ -143,11 +143,15 @@ class InformationTable:
         MISSING and NaN are missing values; an infinity in a numeric column
         is a DataError. Integer and float ndarrays are copied in one step.
         ``kinds`` overrides the inferred kind of a condition column, as
-        ``load_table``'s ``schema_hints`` do.
+        ``load_table``'s ``schema_hints`` do. ``column()`` returns a categorical
+        column's cells as given where one is not a ``str``: ``1 == 1.0 == True``.
         """
         columns = {k: c if isinstance(c, np.ndarray) else list(c) for k, c in columns.items()}
         specs, typed = _typed_columns(columns, decision, kinds or {}, "row {}".format)
-        return cls(specs, typed, decision, table_id=table_id)
+        table = cls(specs, typed, decision, table_id=table_id)
+        table._lists = {name: list(columns[name]) for name, col in typed.items()
+                        if type(col) is tuple and not all(type(t) is str for t in columns[name])}
+        return table
 
 
 def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mapping[str, str],
@@ -160,16 +164,13 @@ def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mappin
             raise DataError(f"schema hint for unknown column {name!r}")
     specs, typed = [], {}
     for name, cells in columns.items():
-        kind = "categorical" if name == decision else kinds.get(name)
+        kind = "categorical" if name == decision or isinstance(cells, tuple) else kinds.get(name)
         if name in kinds and kind not in ("categorical", "numeric"):
             raise DataError(f"invalid kind {kind!r} for column {name!r}")
-        if isinstance(cells, tuple):
-            spec, values = AttributeSpec(name, "categorical"), cells
-        else:
-            spec, values = _typed_column(name, cells, kind, where)
+        spec, values = _typed_column(name, cells, kind, where)
         if values is None:
             try:
-                values = _coded(cells)
+                values = cells if isinstance(cells, tuple) else _coded(cells)
             except TypeError:  # the dict of tokens met an unhashable cell
                 raise DataError(f"categorical column {name!r} has an unhashable cell") from None
             values[1].flags.writeable = False
@@ -284,9 +285,7 @@ def _read_plain(body: bytes, decision: str) -> tuple[list[str], list, list, None
             if fields is None:
                 return None
             tokens, ids = _coded([_AS_MISSING.get(t, t) for t in map(str.strip, fields[0])])
-            codes = ids[fields[1]]
-            codes.flags.writeable = False
-            raw.append((tokens, codes))
+            raw.append((tokens, ids[fields[1]]))
         else:
             numeric.append(c)
             empty.append(start[start == end])

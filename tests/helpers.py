@@ -320,9 +320,10 @@ def factorize_by_unique(keys):
     return ids[ranks]
 
 
-def evaluate_run_on_tokens(table, run):
-    """evaluate_run metrics from granular_entropy plus region_fractions on tokens."""
-    truth = table.decision_labels
+def evaluate_run_on_tokens(table, run, labels=None):
+    """evaluate_run metrics from granular_entropy plus region_fractions on tokens:
+    ``labels``, the decision cells as a table was built from them, or the table's own."""
+    truth = table.decision_labels if labels is None else labels
     correct = sum(1 for p, t in zip(run.predicted, truth) if str(p) == str(t))
     fallback = run.granule is None
     part = Partition.from_labels(run.predicted if fallback else run.granule)

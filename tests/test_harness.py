@@ -197,14 +197,14 @@ def _random_run(rng, table, extra=()):
 def test_evaluate_run_matches_token_oracle(seed, mixed):
     rng = random.Random(seed)
     table = random_table(rng, max_n=40, max_classes=5)
+    labels = None
     if mixed:
-        n = table.n
+        labels = [rng.choice(MIXED + ["0"]) for _ in range(table.n)]
         table = InformationTable.from_columns(
-            {"c": [rng.choice("uv") for _ in range(n)],
-             "d": [rng.choice(MIXED + ["0"]) for _ in range(n)]}, "d")
+            {"c": [rng.choice("uv") for _ in labels], "d": labels}, "d")
     for _ in range(3):
         run = _random_run(rng, table, MIXED if mixed else ())
-        assert evaluate_run(table, run) == evaluate_run_on_tokens(table, run)
+        assert evaluate_run(table, run) == evaluate_run_on_tokens(table, run, labels)
 
 
 RUN_TOKENS = ["a b", " x y ", "\u00e9t\u00e9", "\u65e5\u672c \u03a9"]
@@ -303,4 +303,16 @@ def test_decision_texts_match_str_oracle(labels, rnd):
     table = InformationTable.from_columns({"d": labels}, "d")
     pool = [str(label) for label in LABELS] + ["x"]
     run = ModelRun("r", [rnd.choice(pool) for _ in labels])
-    assert evaluate_run(table, run) == evaluate_run_on_tokens(table, run)
+    assert evaluate_run(table, run) == evaluate_run_on_tokens(table, run, labels)
+    assert [(type(a), a) for a in table.decision_labels] == [(type(a), a) for a in labels]
+
+
+def test_equal_labels_keep_their_own_str():
+    """1 == 1.0 == True are one decision class, but each row's label keeps its type,
+    and a prediction is scored against the str of its own row's label."""
+    table = InformationTable.from_columns({"c": [1.0, True, "u"], "d": [1, True, 1.0]},
+                                          "d", kinds={"c": "categorical"})
+    assert [type(a) for a in table.decision_labels] == [int, bool, float]
+    assert [type(a) for a in table.column("c")] == [float, bool, str]
+    assert table.decision_codes.tolist() == [0, 0, 0]
+    assert evaluate_run(table, ModelRun("r", ["1", "1", "1.0"])).accuracy == 2 / 3

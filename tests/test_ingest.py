@@ -529,8 +529,8 @@ TYPED_WORD = st.sampled_from([
 
 def _join(draw, rnd, lines):
     """CSV text of raw lines with one line end, blank lines, a trigger or a BOM.
-    A bare CR, a blank line and a missing final line end send a text to the csv
-    path, so they are rare enough to leave many texts to the byte path."""
+    A bare CR and a blank line send a text to the csv path, so they (and a missing
+    final line end) are rare enough to leave many texts to the byte path."""
     eol = "\r" if rare(rnd, 0.15) else draw(st.sampled_from(["\n", "\r\n"]))
     lines = [out for line in lines for out in ([""] if rare(rnd, 0.03) else []) + [line]]
     if rare(rnd, 0.1):
@@ -795,9 +795,9 @@ class TestTypedPathSelection:
     @pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
     def test_mixed_table_with_blanks_is_read_typed(self, eol):
         text = self.MIXED.replace("\n", eol)
-        # a bare CR, and a missing final line end, send a table to the csv path
+        # a bare CR sends a table to the csv path; a missing final line end does not
         for variant, exact in [(text, eol == "\r"), (text.encode("utf-8-sig"), eol == "\r"),
-                               (text + "5,c0,1,no,", 1)]:
+                               (text + "5,c0,1,no,", eol == "\r")]:
             assert _exact_reads(load_table, variant, "y") == exact
             got = _table_state(outcome(load_table, variant, "y"))
             assert got == _table_state(_exactly(load_table, variant, "y"))
@@ -870,7 +870,8 @@ class TestRunByteReaderPath:
         (_line_ends(BASE, ["\n", "\n", "\r\n"]), 0),  # an LF header, CRLF records among LF
         (BASE.replace("\n", "\r"), 1),
         (BASE.replace("\n3,", "\r3,"), 1),  # one bare CR among the records
-        (BASE[:-1], 1),  # no final line end
+        (BASE[:-1], 0),  # no final line end
+        (BASE[:-1] + "\r", 0),  # a final CR
         (BASE.replace("\n3,", "\n\n3,"), 1),  # a blank line
         (BASE.replace("granule\n", "granule\n\n"), 1)])
     def test_line_ends(self, toy8, text, exact):
