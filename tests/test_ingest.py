@@ -420,6 +420,13 @@ class TestRunCellsKeepLineBreakCharacters:
         assert (run.run_id, run.meta, run.predicted[3]) == ("r7", "m\x85n", "p\u2028x")
         assert load_run_by_rows(text, toy8, run_id="ignored") == run
 
+    @pytest.mark.parametrize("encode", [False, True])
+    def test_directive_after_a_unicode_space(self, toy8, encode):
+        """U+3000 is whitespace to ``str.lstrip``, so this line is a directive."""
+        text = _run_with_cell(1, "0", directive="\u3000# run_id=r7 meta=x\n")
+        run = load_run(text.encode() if encode else text, toy8)
+        assert (run.run_id, run.meta) == ("r7", "x")
+
     def test_cli_evaluates_run_with_line_break_cells(self, tmp_path, toy8_csv, capsys):
         table = tmp_path / "t.csv"
         table.write_text(toy8_csv)
@@ -758,6 +765,30 @@ class TestTypedPathSelection:
         assert _table_state(outcome(load_table, text, "d")) == _table_state(
             _exactly(load_table, text, "d"))
 
+    @pytest.mark.parametrize("load, text, cell", [
+        (load_table, PLAIN.replace("+4", "@"), b"1\xa0"),
+        (load_table, PLAIN.replace("+4", "@"), b"\x851"),
+        (load_run, _run_with_cell(2, "@"), b"g\xa0"),  # a token
+        (load_run, _run_with_cell(0, "@"), b"3\xa0")],  # after an index digit
+        ids=["table-1a0", "table-851", "run-token", "run-index"])
+    def test_invalid_utf8_is_data_error(self, toy8, load, text, cell):
+        """np.loadtxt reads the table fields, decoded as latin-1, as 1.0: bytes must be
+        checked as UTF-8 before they are scanned."""
+        data = text.encode().replace(b"@", cell)
+        args = (data, "d") if load is load_table else (data, toy8)
+        got = outcome(load, *args)
+        assert got == _exactly(load, *args)
+        assert got.startswith("DataError: input is not valid UTF-8: ")
+
+    @pytest.mark.parametrize("text", [
+        "\ufeff" + PLAIN,  # a str keeps U+FEFF in its first header name
+        PLAIN.replace("q;r", "\ud800")], ids=["feff", "surrogate"])
+    def test_str_text_is_read_by_bytes(self, text):
+        assert _exact_reads(load_table, text, "d") == 0
+        got = outcome(load_table, text, "d")
+        assert _table_state(got) == _table_state(_exactly(load_table, text, "d"))
+        assert got.attributes[0].name == text[:text.index(",")]
+
     @pytest.mark.parametrize("text, decision", [
         (QUOTED, "nope"), (QUOTED.replace("b", "a", 1), "d"),
         (CLEAN, "nope"), (CLEAN.replace("b", "a", 1), "d")])
@@ -872,6 +903,7 @@ class TestRunByteReaderPath:
         (BASE.replace("\n3,", "\r3,"), 1),  # one bare CR among the records
         (BASE[:-1], 0),  # no final line end
         (BASE[:-1] + "\r", 0),  # a final CR
+        (BASE.encode("utf-8-sig"), 0),  # ASCII after a BOM
         (BASE.replace("\n3,", "\n\n3,"), 1),  # a blank line
         (BASE.replace("granule\n", "granule\n\n"), 1)])
     def test_line_ends(self, toy8, text, exact):
