@@ -228,12 +228,10 @@ def cmd_sweep(args) -> int:
     print(f"  violations={summary.monotonicity_violations} "
           f"terminal H={fmt(summary.terminal_entropy)} "
           f"terminal BF={fmt(summary.terminal_boundary)}")
-    if args.out:
-        if args.format == "json":
-            payload = [_rounded(p) for p in curve.points]
-            write_atomic(args.out, json.dumps(payload, indent=2) + "\n")
-        else:
-            write_curve(curve, args.out)
+    if args.format == "json":
+        _emit_json(args, [_rounded(p) for p in curve.points])
+    elif args.out:
+        write_curve(curve, args.out)
     if args.svg:
         emit_svg(curve, args.svg)
     return 0

@@ -12,7 +12,7 @@ import os
 import tempfile
 
 from .errors import DataError
-from .reader import convert_cells, line_of, read_columns
+from .reader import convert_cells, encoded, line_of, read_columns
 from .sweep import SweepCurve, SweepPoint
 
 CURVE_HEADER = ["bits_level", "block_count", "conditional_bits",
@@ -23,15 +23,14 @@ def fmt(x: float) -> str:
     return f"{x:.9f}"
 
 
-def write_atomic(path: str, data: str | bytes) -> None:
+def write_atomic(path: str, data: str) -> None:
     """Write to a sibling temp file, then rename: no partial outputs. An
     OSError names ``path``, never the temp file, which is removed."""
     directory = os.path.dirname(os.path.abspath(path))
-    mode = "wb" if isinstance(data, bytes) else "w"
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".granulens-tmp-")
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "w") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
@@ -56,8 +55,8 @@ def write_curve(curve: SweepCurve, path: str) -> None:
     write_atomic(path, curve_to_csv(curve))
 
 
-def read_curve(csv_data: str, table_id: str = "") -> SweepCurve:
-    header, cells, blanks, ragged = read_columns(csv_data)
+def read_curve(csv_data: bytes | str, table_id: str = "") -> SweepCurve:
+    header, cells, blanks, ragged = read_columns(encoded(csv_data))
     if header is None:
         raise DataError("empty curve file")
     if header != CURVE_HEADER:

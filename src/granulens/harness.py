@@ -21,13 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, UniverseMismatchError
-from .reader import convert_cells, decode_text, line_of, read_columns, scan
+from .reader import convert_cells, encoded, line_of, read_columns, scan
 from .table import InformationTable, Partition, _coded, _listed, code_fields, factorize
 from .entropy import granular_entropy
 
 _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
 #: the header line _read_run takes; group 1 is the granule column
-_HEADER = re.compile(r"object_index,predicted(,granule)?\r?\n")
+_HEADER = re.compile(rb"object_index,predicted(,granule)?\r?\n")
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class ComparisonVerdict:
 
 def _read_run(body: bytes, width: int) -> tuple[np.ndarray, list[tuple[list, np.ndarray]]] | None:
     """object_index values, and the distinct tokens and their codes per token column,
-    of the records in ``body``, the UTF-8 after the header line, in file order. None
+    of the records in ``body``, the bytes after the header line, in file order. None
     unless they are in ``reader.scan``'s grammar, each object_index is 1-18 ASCII
     digits, and ``code_fields`` codes each token column."""
     scanned = scan(body, width)
@@ -112,28 +112,29 @@ def load_run(csv_data: bytes | str, table: InformationTable,
              run_id: str = "run") -> ModelRun:
     """Parse a model-run CSV and validate it covers the table's universe.
 
-    An optional first line ``# run_id=<text> meta=<text>`` overrides the
-    run id. The header is ``object_index,predicted[,granule]``.
-    object_index values must be exactly 0..n-1 in any order. An error
-    names the first faulty row in file order.
+    An optional first line ``# run_id=<text> meta=<text>``, the one line
+    decoded unless the csv path reads the run, overrides the run id. The
+    header is ``object_index,predicted[,granule]``. object_index values must
+    be exactly 0..n-1 in any order. An error names the first faulty row in
+    file order.
     """
     meta, skipped = "", 0  # skipped: lines before the header
-    text = decode_text(csv_data)
-    first = re.match(r"[^\r\n]*(?:\r\n?|\n)?", text).group()  # splitlines breaks at U+2028
-    if first.lstrip().startswith("#"):
-        m = _DIRECTIVE.match(first.strip())
+    body = encoded(csv_data)
+    first = re.match(rb"[^\r\n]*(?:\r\n?|\n)?", body).group()  # no other byte ends a line
+    directive = first.decode("utf-8", "surrogatepass")
+    if directive.lstrip().startswith("#"):
+        m = _DIRECTIVE.match(directive.strip())
         if m:
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
-        text, skipped = text[len(first):], 1
-    line = _HEADER.match(text)
-    read = _read_run(text[line.end():].encode("utf-8", "surrogatepass"),
-                     3 if line[1] else 2) if line else None
+        body, skipped = body[len(first):], 1
+    line = _HEADER.match(body)
+    read = _read_run(body[line.end():], 3 if line[1] else 2) if line else None
     if read is not None:
         values, coded = read
         bad = ragged = None
     else:
-        header, cells, blanks, ragged = read_columns(text, skipped)
+        header, cells, blanks, ragged = read_columns(body, skipped)
         if header is None:
             raise DataError("empty run file")
         header = [h.strip() for h in header]
@@ -148,7 +149,7 @@ def load_run(csv_data: bytes | str, table: InformationTable,
 
     n = table.n
     try:
-        index = np.array(values, dtype=np.int64)
+        index = np.asarray(values, dtype=np.int64)
     except OverflowError:  # beyond int64, so out of range
         index = np.array([v if 0 <= v < n else -1 for v in values], dtype=np.int64)
     outside = np.flatnonzero((index < 0) | (index >= n))
@@ -188,7 +189,7 @@ def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:
     hit = np.array([text_id.get(str(label), -1) for label in labels], dtype=np.int64)
     correct = np.count_nonzero(hit[truth] == predicted)  # the str of its label is predicted
 
-    part = Partition.from_labels(blocks)
+    part = Partition(blocks)  # dense codes: the metrics do not depend on the block order
     report = granular_entropy(part, table.decision_codes)
     bf = report.boundary_fraction
     return EvalReport(run.run_id, correct / n, report.conditional_bits,

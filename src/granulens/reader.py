@@ -1,10 +1,10 @@
 """Columnar CSV reading shared by the table and model-run loaders.
 
-``scan`` finds every field of a text in the plain grammar, where the csv
-module reads each field as the raw bytes between two separators. Both
-loaders read such a text from those bytes. ``read_columns``, the csv path,
-transposes records into cells per column and composes every error; both
-loaders fall back to it for any other text.
+Both loaders read the UTF-8 bytes ``encoded`` makes of their input. ``scan``
+finds every field of such bytes in the plain grammar, where the csv module
+reads each field as the raw bytes between two separators. ``read_columns``,
+the csv path, decodes them, transposes records into cells per column and
+composes every error; both loaders fall back to it for any other text.
 """
 
 from __future__ import annotations
@@ -28,10 +28,12 @@ from .errors import DataError
 _CHUNK = 256
 
 
-def decode_text(data: bytes | str) -> str:
-    """Decode CSV bytes as UTF-8, dropping a leading byte-order mark."""
-    try:
-        return data.decode("utf-8-sig") if isinstance(data, bytes) else data
+def encoded(data: bytes | str) -> bytes:
+    """CSV input as UTF-8 bytes: a ``str`` as it is, bytes checked and without a BOM."""
+    if isinstance(data, str):
+        return data.encode("utf-8", "surrogatepass")
+    try:  # ASCII bytes cannot hold a BOM, so they are not copied
+        return data if data.isascii() else data.decode("utf-8-sig").encode()
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not valid UTF-8: {exc}") from None
 
@@ -76,9 +78,9 @@ def scan(body: bytes, width: int) -> tuple[
     return data, bounds
 
 
-def read_columns(text: str, skipped: int = 0) -> tuple[
+def read_columns(body: bytes, skipped: int = 0) -> tuple[
         list[str] | None, list[list[str]], list[int], tuple[int, int] | None]:
-    """Read CSV text into its header and one list of cells per column.
+    """Read CSV bytes (see ``encoded``) into its header and one list of cells per column.
 
     ``\\r``, ``\\n`` and ``\\r\\n`` end records. Lines count records (a quoted
     cell may span several), the header being line 1 + ``skipped``. Blank
@@ -88,7 +90,7 @@ def read_columns(text: str, skipped: int = 0) -> tuple[
     count) of that ragged record or None. A DataError names the line of a
     record the csv module rejects (a field over its size limit, say).
     """
-    records = csv.reader(io.StringIO(text, newline=""))
+    records = csv.reader(io.StringIO(body.decode("utf-8", "surrogatepass"), newline=""))
     line, chunk = 1 + skipped, []  # chunk[0]'s line; extend keeps what it read before a raise
     try:
         header = next(records, None)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataError
-from .reader import convert_cells, decode_text, line_of, read_columns, scan
+from .reader import convert_cells, encoded, line_of, read_columns, scan
 
 
 class _Missing:
@@ -165,8 +165,8 @@ def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mappin
     specs, typed = [], {}
     for name, cells in columns.items():
         kind = "categorical" if name == decision or isinstance(cells, tuple) else kinds.get(name)
-        if name in kinds and kind not in ("categorical", "numeric"):
-            raise DataError(f"invalid kind {kind!r} for column {name!r}")
+        if name in kinds and name != decision and kinds[name] not in ("categorical", "numeric"):
+            raise DataError(f"invalid kind {kinds[name]!r} for column {name!r}")
         spec, values = _typed_column(name, cells, kind, where)
         if values is None:
             try:
@@ -225,14 +225,13 @@ def load_table(csv_data: bytes | str, decision_name: str,
     parses as a real number, unless ``schema_hints`` overrides its kind.
     Empty cells and ``?`` are MISSING; in a numeric column so is a NaN
     cell, and an infinite one is a DataError. The decision column must be
-    total and is always categorical. Without hints a text in
-    ``reader.scan``'s grammar is read from its bytes (see ``_read_plain``);
-    any other text by ``read_columns`` and one float() call per numeric cell.
+    total and is always categorical. A text in ``reader.scan``'s grammar is
+    read from its bytes (see ``_read_plain``); any other text is decoded and
+    read by ``read_columns`` and one float() call per numeric cell.
     """
-    text = decode_text(csv_data)
-    read = None if schema_hints else _read_plain(text.encode("utf-8", "surrogatepass"),
-                                                   decision_name)
-    header, raw, blanks, ragged = read or read_columns(text)
+    body = encoded(csv_data)
+    read = _read_plain(body, {**(schema_hints or {}), decision_name: "categorical"})
+    header, raw, blanks, ragged = read or read_columns(body)
     if header is None:
         raise DataError("empty file")
     if len(set(header)) != len(header):
@@ -252,19 +251,19 @@ def load_table(csv_data: bytes | str, decision_name: str,
     return InformationTable(specs, typed, decision_name, table_id=table_id)
 
 
-def _read_plain(body: bytes, decision: str) -> tuple[list[str], list, list, None] | None:
+def _read_plain(body: bytes, kinds: Mapping[str, str]) -> tuple[list[str], list, list, None] | None:
     """``read_columns``' result for a table in ``reader.scan``'s grammar, its columns
     typed, or None where the csv path must read it.
 
-    The first data record sets the kinds as the csv path's typing would: the
-    decision, and a column whose cell there is neither missing nor a number, are
-    text. Text is coded on its bytes, then its distinct tokens are stripped, made
-    MISSING if missing, and coded again. One np.loadtxt call reads the other
+    A column's kind is its hint in ``kinds`` (``_typed_columns`` rejects a bad one)
+    or, as the csv path infers it, text if its first cell is neither missing nor a
+    number. Text is coded on its bytes, then its distinct tokens are stripped, made
+    MISSING if missing, and coded again. One np.loadtxt call reads the numeric
     columns, with ``_BLANK`` in each empty field. None where it rejects a field
-    (``?``, a blank-only field, ``1_0``, non-ASCII, a word further down), reads an
-    infinity (the csv path names its line) or a column of NaN only (which the csv
-    path may call categorical); for one column (a blank line would read as an
-    empty field), no data record, or a token too wide to code.
+    (``?``, a blank-only field, ``1_0``, non-ASCII, a word further down) or reads a
+    column of NaN only (which the csv path may call categorical); for one column (a
+    blank line would read as an empty field), no data record, or a token too wide
+    to code. No record is blank or spans lines, so ``line_of`` is exact here.
     """
     width = body[:body.find(b"\n")].count(b",") + 1
     scanned = scan(body, width)
@@ -280,7 +279,8 @@ def _read_plain(body: bytes, decision: str) -> tuple[list[str], list, list, None
                        for i, k in zip(start[:2].tolist(), end[:2].tolist()))
         header.append(name)
         start, end = start[1:], end[1:]
-        if name == decision or convert_cells(float, [first.strip()], _AS_MISSING)[1] is not None:
+        bad = convert_cells(float, [first.strip()], _AS_MISSING)[1]  # the csv path's inference
+        if kinds.get(name, "numeric" if bad is None else "categorical") != "numeric":
             fields = code_fields(data, start, end)
             if fields is None:
                 return None
@@ -298,7 +298,7 @@ def _read_plain(body: bytes, decision: str) -> tuple[list[str], list, list, None
                                 skiprows=1, usecols=numeric, ndmin=2, encoding="latin-1")
         except ValueError:
             return None
-        if np.isinf(values).any() or np.isnan(values).all(axis=0).any():
+        if np.isnan(values).all(axis=0).any():
             return None
         for j, c in enumerate(numeric):
             raw[c] = values[:, j]

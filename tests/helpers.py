@@ -28,7 +28,7 @@ from granulens import (MISSING, AttributeSpec, DataError, EvalReport,
                        GranulationScheme, InformationTable, ModelRun, Partition,
                        ReductResult, SweepPoint, conditional, dependency,
                        discretize, granular_entropy, load_table)
-from granulens.reader import decode_text
+from granulens.reader import encoded
 from granulens.entropy import _conditional_bits
 from granulens.reduction import ReductStep
 from granulens.rough import _label_matrix, _positive_count, region_fractions
@@ -379,13 +379,18 @@ def _observed_range(col):
     return (min(vals), max(vals))
 
 
+def _decoded(csv_data):
+    """The text the loaders' csv path reads."""
+    return encoded(csv_data).decode("utf-8", "surrogatepass")
+
+
 def load_table_by_rows(csv_data, decision_name, schema_hints=None, table_id=""):
     """load_table row by row: infer, parse and range each column cell by cell.
 
     A NaN cell stays in the column but not in the range; an infinite cell
     in a numeric column is an error naming its line.
     """
-    reader = csv.reader(io.StringIO(decode_text(csv_data)))
+    reader = csv.reader(io.StringIO(_decoded(csv_data)))
     try:
         header = next(reader)
     except StopIteration:
@@ -459,7 +464,7 @@ _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
 def load_run_by_rows(csv_data, table, run_id="run"):
     """load_run row by row: parse, range-check and place each row in turn."""
     meta, first_line = "", 1
-    text = decode_text(csv_data)
+    text = _decoded(csv_data)
     first = re.match(r"[^\r\n]*(?:\r\n?|\n)?", text).group()
     if first.lstrip().startswith("#"):
         m = _DIRECTIVE.match(first.strip())

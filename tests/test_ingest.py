@@ -308,6 +308,11 @@ class TestReadCurve:
     def test_record_ends_read_alike(self, eol):
         assert read_curve(self.TEXT.replace("\n", eol)) == read_curve(self.TEXT)
 
+    def test_bytes_read_like_text(self):
+        assert read_curve(self.TEXT.encode("utf-8-sig")) == read_curve(self.TEXT)
+        with pytest.raises(DataError, match="input is not valid UTF-8"):
+            read_curve(self.TEXT.encode().replace(b"0.5", b"0.5\xa0", 1))
+
     @pytest.mark.parametrize("old, new, message", [
         ("0.5,0.5,0.5,0.5", "0.5,x,0.5,0.5",
          "curve column 'normalized_conditional' has unparsable cell 'x' at line 4"),
@@ -564,7 +569,12 @@ def typed_tables(draw):
         if rare(rnd, 0.03):
             cells = cells[:-1] if rnd.random() < 0.5 else cells + ["1"]
         lines.append(",".join(cells))
-    hints = {"x0": "numeric"} if rare(rnd, 0.05) else None
+    hints = {name: draw(st.sampled_from(["numeric", "categorical"]))
+             for name in lines[0].split(",") if rare(rnd, 0.2)}
+    if rare(rnd, 0.03):
+        hints["x0"] = "bogus"
+    if rare(rnd, 0.03):
+        hints["zz"] = "numeric"  # unknown column
     return _join(draw, rnd, lines), hints
 
 
@@ -665,7 +675,8 @@ def mixed_tables(draw):
     blank column holds only empty cells. Quotes and cells that make the
     typed path fall back are rare, so about a quarter of the texts are read
     typed (tokens wider than the rows send about a fifth to the csv path),
-    many of them with empty cells filled.
+    many of them with empty cells filled. Returns the text and schema hints,
+    which some columns have.
     """
     rnd = draw(st.randoms(use_true_random=False))
     modes = draw(st.lists(st.sampled_from(
@@ -698,16 +709,19 @@ def mixed_tables(draw):
         cells = [(i, j) for i in range(n) for j in range(len(header))]
         for i, j in rnd.sample(cells, min(len(cells), 2)):  # commas inside quotes
             rows[i][j] = '"' + rows[i][j] + rnd.choice(["", ",", ",,", ",\n,", "\r,"]) + '"'
-    return _join(draw, rnd, [",".join(header)] + [",".join(row) for row in rows])
+    hints = {name: draw(st.sampled_from(["numeric", "categorical"]))
+             for name in header if rare(rnd, 0.1)}
+    return _join(draw, rnd, [",".join(header)] + [",".join(row) for row in rows]), hints
 
 
 @settings(max_examples=500, deadline=None)
 @given(mixed_tables())
-def test_typed_mixed_table_matches_exact_path_and_row_oracle(text):
-    got = _table_state(outcome(load_table, text, "d"))
-    assert got == _table_state(_exactly(load_table, text, "d"))
+def test_typed_mixed_table_matches_exact_path_and_row_oracle(inputs):
+    text, hints = inputs
+    got = _table_state(outcome(load_table, text, "d", schema_hints=hints))
+    assert got == _table_state(_exactly(load_table, text, "d", schema_hints=hints))
     if _by_rows_reads(text):
-        assert got == _table_state(outcome(load_table_by_rows, text, "d"))
+        assert got == _table_state(outcome(load_table_by_rows, text, "d", schema_hints=hints))
 
 
 def test_blank_reads_as_nan_with_the_bytes_of_math_nan():
@@ -752,7 +766,7 @@ class TestTypedPathSelection:
         assert _exact_reads(load_table, self.CLEAN, "d") == 1  # the blank line
 
     @pytest.mark.parametrize("old, new", [
-        ("-2.5e3", ""), ("-2.5e3", "?"), ("-2.5e3", "x"), ("nan", "inf"), ("a,b", '"a",b'),
+        ("-2.5e3", ""), ("-2.5e3", "?"), ("-2.5e3", "x"), ("a,b", '"a",b'),
         ("+4", "1_0"), (" 3,-2.5e3,q;r", '" 3",-2.5e3,"q,r"')]
         + [("+4", char + "4") for char in TRIGGERS]
         + [("\r\n 3", "\r\n\r\n 3"),  # a blank line
@@ -796,8 +810,28 @@ class TestTypedPathSelection:
         assert outcome(load_table, text, decision) == _exactly(load_table, text, decision)
         assert outcome(load_table, text, decision).startswith("DataError: ")
 
-    def test_table_with_hints_or_only_a_header_falls_back(self):
-        assert _exact_reads(load_table, self.PLAIN, "d", schema_hints={"a": "numeric"}) == 1
+    @pytest.mark.parametrize("text, message", [
+        (PLAIN.replace("nan", "inf"), "column 'b' has non-finite value inf at line 2"),
+        (PLAIN.replace("-1,", "-1e999,"), "column 'a' has non-finite value -inf at line 5"),
+        (PLAIN.replace("-1,", "-inf,")[:-2], "column 'a' has non-finite value -inf at line 5")],
+        ids=["nan-inf", "overflow", "last-line"])
+    def test_infinity_is_read_by_bytes(self, text, message):
+        """The grammar has no blank line and no multi-line record, so the byte path
+        names the line of an infinity as the csv path does."""
+        assert _exact_reads(load_table, text, "d") == 0
+        assert outcome(load_table, text, "d") == _exactly(load_table, text, "d") == (
+            "DataError: " + message)
+
+    @pytest.mark.parametrize("hints", [
+        {"a": "numeric"}, {"a": "categorical"}, {"b": "numeric"}, {"b": "categorical"},
+        {"d": "numeric"}, {"b": "bogus"}, {"zz": "numeric"}], ids=repr)
+    def test_hinted_table_is_read_typed(self, hints):
+        text = self.PLAIN + "2,0.5,p\r\n" * 2  # six rows, so that -2.5e3 can be coded
+        assert _exact_reads(load_table, text, "d", schema_hints=hints) == 0
+        assert _table_state(outcome(load_table, text, "d", schema_hints=hints)) == _table_state(
+            _exactly(load_table, text, "d", schema_hints=hints))
+
+    def test_table_with_only_a_header_or_one_column_falls_back(self):
         assert _exact_reads(load_table, "a,d\n\n", "d") == 1
         # one column: a blank line would read as an empty field
         for text in ("d\np\nq\n", "d\np\n\nq\n"):
@@ -1010,15 +1044,20 @@ def test_bench_shaped_table_is_read_by_one_float_loadtxt(shape):
     assert [values.dtype for values in calls] == [np.float64]
     want = _table_state(load_table_by_rows(text, decision))
     assert _table_state(load_table(text, decision)) == want
+    hints = {a.name: a.kind for a in load_table(text, decision).attributes}
+    assert _exact_reads(load_table, text, decision, schema_hints=hints) == 0
+    assert _table_state(load_table(text, decision, schema_hints=hints)) == want
 
 
 @pytest.mark.parametrize("name, decision", [("toy8.csv", "d"),
                                             ("titanic_synthetic.csv", "Survived")])
 def test_shipped_tables_are_read_typed(name, decision):
     data = (DATA_DIR / name).read_bytes()
-    assert _exact_reads(load_table, data, decision) == 0
-    assert _table_state(outcome(load_table, data, decision)) == _table_state(
-        _exactly(load_table, data, decision))
+    hints = {a.name: a.kind for a in load_table(data, decision).attributes}
+    for kinds in (None, hints):
+        assert _exact_reads(load_table, data, decision, schema_hints=kinds) == 0
+        assert _table_state(outcome(load_table, data, decision, schema_hints=kinds)) == (
+            _table_state(_exactly(load_table, data, decision)))
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
