@@ -55,7 +55,7 @@ def write_curve(curve: SweepCurve, path: str) -> None:
     write_atomic(path, curve_to_csv(curve))
 
 
-def read_curve(csv_data: bytes | str, table_id: str = "") -> SweepCurve:
+def read_curve(csv_data: str, table_id: str = "") -> SweepCurve:
     header, cells, blanks, ragged = read_columns(encoded(csv_data))
     if header is None:
         raise DataError("empty curve file")

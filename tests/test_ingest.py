@@ -308,11 +308,6 @@ class TestReadCurve:
     def test_record_ends_read_alike(self, eol):
         assert read_curve(self.TEXT.replace("\n", eol)) == read_curve(self.TEXT)
 
-    def test_bytes_read_like_text(self):
-        assert read_curve(self.TEXT.encode("utf-8-sig")) == read_curve(self.TEXT)
-        with pytest.raises(DataError, match="input is not valid UTF-8"):
-            read_curve(self.TEXT.encode().replace(b"0.5", b"0.5\xa0", 1))
-
     @pytest.mark.parametrize("old, new, message", [
         ("0.5,0.5,0.5,0.5", "0.5,x,0.5,0.5",
          "curve column 'normalized_conditional' has unparsable cell 'x' at line 4"),
