@@ -51,7 +51,7 @@ def scan(body: bytes, width: int) -> tuple[
     field ``c`` of every record are ``bounds(c)``, computed on each call."""
     if width < 2 or b'"' in body:
         return None
-    body += b"" if body.endswith(b"\n") else b"\n"
+    body = body if body.endswith(b"\n") else body + b"\n"  # a new object: += extends a bytearray
     data = np.frombuffer(body, dtype=np.uint8)
     seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
     if len(seps) % width:

@@ -719,6 +719,13 @@ def test_typed_mixed_table_matches_exact_path_and_row_oracle(inputs):
         assert got == _table_state(outcome(load_table_by_rows, text, "d", schema_hints=hints))
 
 
+def test_load_table_leaves_a_bytearray_as_it_is():
+    """The byte scanner adds a final line end to a copy, not to the caller's buffer."""
+    data = bytearray(b"a,d\n1,x\n2,y")
+    assert _exact_reads(load_table, data, "d") == 0
+    assert data == b"a,d\n1,x\n2,y"
+
+
 def test_blank_reads_as_nan_with_the_bytes_of_math_nan():
     """The sentinel the table byte reader writes into empty numeric fields, read by
     its own np.loadtxt call: numpy (down to the declared floor) and float() must
