@@ -151,6 +151,12 @@ class TestOtherCommands:
         assert run_cli(["bogus"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert run_cli(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: granulens") and err == ""
+
     def test_bad_data_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,d\n1,0,9\n")
@@ -274,6 +280,11 @@ class TestSvg:
         doc = emit_svg(sweep(toy8, ["a2"], 0, 0))
         assert "<polyline" not in doc
         assert doc.count("<circle") >= 2
+
+    def test_empty_curve_rejected(self, tmp_path):
+        with pytest.raises(granulens.DataError, match="empty curve"):
+            emit_svg(granulens.SweepCurve([], ("a2",)), str(tmp_path / "c.svg"))
+        assert not list(tmp_path.iterdir())
 
     def test_deterministic_bytes(self, toy8, tmp_path):
         curve = sweep(toy8, ["a2"], 0, 3)

@@ -66,6 +66,8 @@ class TestShannon:
             shannon(Distribution({}))
         with pytest.raises(DataError):
             shannon(Distribution({"A": 0}))
+        with pytest.raises(DataError, match="negative count in distribution"):
+            shannon(Distribution({"A": 3, "B": -1}))
 
 
 class TestJoint:

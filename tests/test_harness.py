@@ -12,6 +12,7 @@ from granulens import (
     GranulationScheme,
     InformationTable,
     ModelRun,
+    UniverseMismatchError,
     compare_runs,
     discretize,
     evaluate_run,
@@ -44,6 +45,8 @@ class TestLoadRun:
         rows = perfect_rows(toy8)[:7]
         with pytest.raises(DataError, match="row count"):
             load_run(run_csv(rows), toy8)
+        with pytest.raises(UniverseMismatchError, match="does not cover the table's universe"):
+            evaluate_run(toy8, ModelRun("short", ["0"] * 7))
 
     def test_granule_column(self, toy8):
         rows = perfect_rows(toy8, A1_GRANULES)
@@ -168,6 +171,8 @@ class TestCompareRuns:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             compare_runs([])
+        with pytest.raises(DataError, match="unknown rank_by 'accuracy-first'"):
+            compare_runs([_report("A", 0.8, 0.1)], rank_by="accuracy-first")
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, -1e-12])
     def test_tolerance_must_be_finite_and_nonnegative(self, tolerance):

@@ -205,6 +205,14 @@ class TestNonFiniteAndNan:
                 InformationTable(specs, {"x": x, "d": column}, "d")
         with pytest.raises(DataError, match="columns have unequal lengths"):
             InformationTable(specs, {"x": x, "d": (["p"], codes([0, 0, 0]))}, "d")
+        d = (["q", "p"], codes([0, 1]))
+        for attributes, columns, decision, message in [
+                (specs + specs[:1], {"x": x, "d": d}, "d", "duplicate attribute names"),
+                (specs, {"x": x, "d": d}, "e", "missing decision column 'e'"),
+                (specs, {"x": x[:0], "d": ([], codes([]))}, "d", "empty table"),
+                (specs, {"x": x, "d": d}, "x", "decision attribute must be categorical")]:
+            with pytest.raises(DataError, match=message):
+                InformationTable(attributes, columns, decision)
         table = InformationTable(specs, {"x": x, "d": (["q", "p"], codes([0, 1]))}, "d")
         assert table.decision_labels == ["q", "p"] and table.column("d") is table.decision_labels
 
@@ -290,6 +298,8 @@ class TestRunFaults:
             load_run(head + "1,b,c\n", toy8)
         with pytest.raises(DataError, match=f"non-integer object_index 'x' at line {line}$"):
             load_run(head + "x,b\n", toy8)
+        with pytest.raises(DataError, match="^empty run file$"):
+            load_run(directive, toy8)
 
     def test_cli_rejects_granule_typo_with_exit_2(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
@@ -313,7 +323,11 @@ class TestReadCurve:
          "curve column 'normalized_conditional' has unparsable cell 'x' at line 4"),
         ("1,2,", "1.5,2,", "curve column 'bits_level' has unparsable cell '1.5' at line 4"),
         ("0,1,1.0,", "0,1,1.0,1.0,", "ragged curve row at line 2"),
-        ("0,1,", "0," + "9" * 131_073 + ",", "line 2: field larger than field limit")])
+        ("0,1,", "0," + "9" * 131_073 + ",", "line 2: field larger than field limit"),
+        (TEXT, "", "empty curve file"),
+        ("bits_level,", "bits,", "unexpected curve header"),
+        (TEXT[TEXT.index("\n") + 1:], "", "curve file has no points"),
+        ("1,2,0.5", "0,2,0.5", "curve rows must be ordered by strictly increasing bits_level")])
     def test_faults_are_data_errors(self, old, new, message):
         with pytest.raises(DataError, match=message):
             read_curve(self.TEXT.replace(old, new, 1))

@@ -70,6 +70,8 @@ class TestGreedyReduct:
         view = discretize(table, GranulationScheme())
         with pytest.raises(DataError):
             greedy_reduct(view, table.decision_labels)
+        with pytest.raises(DataError, match="no condition attributes to rank"):
+            entropy_rank(view, table.decision_labels)
 
 
 class TestExhaustiveReducts:

@@ -9,6 +9,7 @@ from granulens import (
     ConceptSet,
     DataError,
     GranulationScheme,
+    Partition,
     UniverseMismatchError,
     approximate,
     dependency,
@@ -60,6 +61,9 @@ class TestApproximate:
         part = toy8_partition(toy8)
         with pytest.raises(UniverseMismatchError):
             approximate(part, ConceptSet(frozenset({0}), 5))
+        for members in ({8}, {-1, 0}):
+            with pytest.raises(DataError, match="concept members outside the universe"):
+                ConceptSet(frozenset(members), 8)
 
 
 class TestRegions:
@@ -100,6 +104,10 @@ class TestDependency:
         table = load_table("a,d\n1,0\n1,1\n", "d")
         part = partition_by(discretize(table, GranulationScheme({"a": 3})), ["a"])
         assert dependency(part, table.decision_labels) < 1
+
+    def test_empty_universe_rejected(self):
+        with pytest.raises(DataError, match="empty label set"):
+            dependency(Partition(np.array([], dtype=np.int64)), [])
 
 
 @settings(max_examples=80, deadline=None)

@@ -166,6 +166,8 @@ class TestPartitionBy:
             partition_by(view, ["d"])
         with pytest.raises(DataError):
             partition_by(view, ["zz"])
+        with pytest.raises(DataError, match="unknown attribute 'zz'"):
+            view.codes_for("zz")
 
     def test_key_overflow_keeps_blocks_apart(self):
         # at 62 bits, block id 4 times 2**62 wraps to 0 in int64, so rows 0
