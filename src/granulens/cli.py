@@ -68,30 +68,28 @@ def build_parser() -> _Parser:
                      description="Granular entropy / rough-set data and model evaluation")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def table_cmd(name, help_text):
+    def table_cmd(name, help_text, func):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("table", help="input CSV (header row; empty or '?' = missing)")
         p.add_argument("--decision", required=True, help="decision column name")
+        p.set_defaults(func=func)
         return p
 
-    p = table_cmd("inspect", "summarize a table's attributes and decision classes")
+    p = table_cmd("inspect", "summarize a table's attributes and decision classes", cmd_inspect)
     p.add_argument("--out", help="write JSON report to this path")
-    p.set_defaults(func=cmd_inspect)
 
-    p = table_cmd("rough", "lower/upper/boundary approximation report")
+    p = table_cmd("rough", "lower/upper/boundary approximation report", cmd_rough)
     p.add_argument("--attrs", required=True, help="comma-separated attribute subset")
     p.add_argument("--bits", type=int, default=0, help="bits for numeric attributes")
     p.add_argument("--class", dest="cls", help="single decision class to approximate")
     p.add_argument("--out", help="write JSON report to this path")
-    p.set_defaults(func=cmd_rough)
 
-    p = table_cmd("entropy", "granule-wise entropy report for one partition")
+    p = table_cmd("entropy", "granule-wise entropy report for one partition", cmd_entropy)
     p.add_argument("--attrs", required=True)
     p.add_argument("--bits", type=int, default=0)
     p.add_argument("--out", help="write JSON report to this path")
-    p.set_defaults(func=cmd_entropy)
 
-    p = table_cmd("sweep", "entropy/boundary curve over a bits range")
+    p = table_cmd("sweep", "entropy/boundary curve over a bits range", cmd_sweep)
     p.add_argument("--attrs", required=True)
     p.add_argument("--bits", required=True, type=_bits_range,
                    help="range A..B (or single level)")
@@ -100,20 +98,17 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; has no effect")
-    p.set_defaults(func=cmd_sweep)
 
-    p = table_cmd("reduce", "greedy attribute reduct and information-gain ranking")
+    p = table_cmd("reduce", "greedy attribute reduct and information-gain ranking", cmd_reduce)
     p.add_argument("--bits", type=int, required=True,
                    help="bits level fixing the discrete view reduction runs on")
     p.add_argument("--out", help="write JSON report to this path")
-    p.set_defaults(func=cmd_reduce)
 
-    p = table_cmd("evaluate", "evaluate one model-run CSV against the table")
+    p = table_cmd("evaluate", "evaluate one model-run CSV against the table", cmd_evaluate)
     p.add_argument("run", help="run CSV: object_index,predicted[,granule]")
     p.add_argument("--out", help="write JSON report to this path")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = table_cmd("compare", "rank model runs: accuracy band, then granular metrics")
+    p = table_cmd("compare", "rank model runs: accuracy band, then granular metrics", cmd_compare)
     p.add_argument("runs", nargs="+", help="run CSV files")
     p.add_argument("--tolerance", type=float, default=0.005,
                    help="accuracy band below the best run (default 0.005)")
@@ -121,7 +116,6 @@ def build_parser() -> _Parser:
                    default="boundary-first",
                    help="metric order inside the band (default boundary-first)")
     p.add_argument("--out", help="write JSON verdict to this path")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -131,12 +125,11 @@ def _load(args):
 
 
 def _emit_json(args, payload) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         write_atomic(args.out, json.dumps(payload, indent=2) + "\n")
 
 
-def cmd_inspect(args) -> int:
-    table = _load(args)
+def cmd_inspect(args, table) -> None:
     classes = sorted(set(table.decision_labels), key=str)
     print(f"{table.table_id or args.table}: n={table.n}, "
           f"{len(table.condition_attributes)} condition attributes, "
@@ -152,7 +145,6 @@ def cmd_inspect(args) -> int:
                       "decision": table.decision,
                       "classes": [str(c) for c in classes],
                       "attributes": [asdict(a) for a in table.attributes]})
-    return 0
 
 
 def _partition_for(args, table):
@@ -166,8 +158,7 @@ def _approx_payload(a):
             "boundary": sorted(a.boundary), "accuracy_alpha": _r9(a.accuracy_alpha)}
 
 
-def cmd_rough(args) -> int:
-    table = _load(args)
+def cmd_rough(args, table) -> None:
     attrs, part = _partition_for(args, table)
     labels = table.decision_labels
     if args.cls is not None:
@@ -196,11 +187,9 @@ def cmd_rough(args) -> int:
             "negative_by_class": {str(c): sorted(s) for c, s in rep.negative_by_class.items()},
             "gamma": _r9(rep.gamma),
             "boundary_fraction": _r9(rep.boundary_fraction)})
-    return 0
 
 
-def cmd_entropy(args) -> int:
-    table = _load(args)
+def cmd_entropy(args, table) -> None:
     attrs, part = _partition_for(args, table)
     rep = granular_entropy(part, table.decision_codes)
     print(f"granular entropy under attrs={','.join(attrs) or '(none)'} "
@@ -210,11 +199,9 @@ def cmd_entropy(args) -> int:
           f"normalized={fmt(rep.normalized_conditional)}")
     _emit_json(args, {"per_block": [[b, _r9(w), _r9(h)] for b, w, h in rep.per_block],
                       **{k: v for k, v in _rounded(rep).items() if k != "counts"}})
-    return 0
 
 
-def cmd_sweep(args) -> int:
-    table = _load(args)
+def cmd_sweep(args, table) -> None:
     attrs = _attrs_list(args.attrs)
     lo, hi = args.bits
     curve = sweep(table, attrs, lo, hi)
@@ -234,11 +221,9 @@ def cmd_sweep(args) -> int:
         write_curve(curve, args.out)
     if args.svg:
         emit_svg(curve, args.svg)
-    return 0
 
 
-def cmd_reduce(args) -> int:
-    table = _load(args)
+def cmd_reduce(args, table) -> None:
     view = discretize(table, GranulationScheme.uniform(table, args.bits))
     result = greedy_reduct(view, table.decision_codes)
     ranking = entropy_rank(view, table.decision_codes)
@@ -253,7 +238,6 @@ def cmd_reduce(args) -> int:
         print(f"  {name}: {fmt(gain)}")
     _emit_json(args, {**_rounded(result), "trace": [_rounded(step) for step in result.trace],
                       "entropy_rank": [[name, _r9(gain)] for name, gain in ranking]})
-    return 0
 
 
 def _evaluate_file(table, path: str):
@@ -262,8 +246,7 @@ def _evaluate_file(table, path: str):
     return evaluate_run(table, run)
 
 
-def cmd_evaluate(args) -> int:
-    table = _load(args)
+def cmd_evaluate(args, table) -> None:
     rep = _evaluate_file(table, args.run)
     print(f"run {rep.run_id}: accuracy={fmt(rep.accuracy)} "
           f"H(D|model)={fmt(rep.model_conditional_bits)} "
@@ -272,11 +255,9 @@ def cmd_evaluate(args) -> int:
           + (" (fallback: predicted-label partition)"
              if rep.used_fallback_partition else ""))
     _emit_json(args, _rounded(rep))
-    return 0
 
 
-def cmd_compare(args) -> int:
-    table = _load(args)
+def cmd_compare(args, table) -> None:
     reports = [_evaluate_file(table, path) for path in args.runs]
     verdict = compare_runs(reports, tolerance=args.tolerance, rank_by=args.rank_by)
     print(f"selected: {verdict.selected} (tolerance {verdict.tolerance_used})")
@@ -288,7 +269,6 @@ def cmd_compare(args) -> int:
         "selected": verdict.selected,
         "tolerance_used": verdict.tolerance_used,
         "ranked": [_rounded(r) for r in verdict.ranked]})
-    return 0
 
 
 def run_cli(argv) -> int:
@@ -301,7 +281,8 @@ def run_cli(argv) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args, _load(args))
+        return 0
     except (GranulensError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
