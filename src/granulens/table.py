@@ -67,9 +67,10 @@ class GranulationScheme:
 class InformationTable:
     """Immutable universe of objects with condition attributes and one decision.
 
-    It keeps its columns as given: a float64 ndarray per numeric attribute, and per
-    categorical one the pair of its distinct tokens (a list) and each object's code
-    among them (a read-only int64 ndarray, numbering the tokens by first occurrence)."""
+    It keeps its columns as given: a float64 ndarray per numeric attribute (read-only
+    once loaded), and per categorical one the pair of its distinct tokens (a list) and
+    each object's code among them (a read-only int64 ndarray, numbering the tokens by
+    first occurrence)."""
 
     def __init__(self, attributes: Sequence[AttributeSpec],
                  columns: Mapping[str, Sequence], decision: str,
@@ -99,7 +100,7 @@ class InformationTable:
         self.n = lengths.pop()
         if self.n < 1:
             raise DataError("empty table: need at least one object")
-        self._lists: dict[str, list] = {}  # categorical columns as lists, on first read
+        self._cells: dict[str, tuple] = {}  # categorical cells kept as given
 
         dec_spec = self._spec_by_name[decision]
         if dec_spec.kind != "categorical":
@@ -114,12 +115,10 @@ class InformationTable:
             raise DataError(f"unknown attribute {name!r}") from None
 
     def column(self, name: str):
-        """A numeric column's array, or a categorical one's list, built once: edits are not seen."""
+        """A numeric column's array, or a categorical one's cells as a new list."""
         if self.attribute(name).kind == "numeric":
             return self._columns[name]
-        if name not in self._lists:
-            self._lists[name] = _listed(*self._columns[name])
-        return self._lists[name]
+        return list(self._cells[name]) if name in self._cells else _listed(*self._columns[name])
 
     @property
     def condition_attributes(self) -> list[AttributeSpec]:
@@ -149,7 +148,7 @@ class InformationTable:
         columns = {k: c if isinstance(c, np.ndarray) else list(c) for k, c in columns.items()}
         specs, typed = _typed_columns(columns, decision, kinds or {}, "row {}".format)
         table = cls(specs, typed, decision, table_id=table_id)
-        table._lists = {name: list(columns[name]) for name, col in typed.items()
+        table._cells = {name: tuple(columns[name]) for name, col in typed.items()
                         if type(col) is tuple and not all(type(t) is str for t in columns[name])}
         return table
 
@@ -173,7 +172,7 @@ def _typed_columns(columns: Mapping[str, Sequence], decision: str, kinds: Mappin
                 values = cells if isinstance(cells, tuple) else _coded(cells)
             except TypeError:  # the dict of tokens met an unhashable cell
                 raise DataError(f"categorical column {name!r} has an unhashable cell") from None
-            values[1].flags.writeable = False
+        (values[1] if type(values) is tuple else values).flags.writeable = False
         specs.append(spec)
         typed[name] = values
     return specs, typed
@@ -186,9 +185,9 @@ def _typed_column(name: str, cells: Sequence, kind: str | None,
 
     ``kind`` None infers it: numeric iff some cell is not MISSING and every
     such cell parses with float(). NaN is missing. An infinity in a numeric
-    column is a DataError; ``where(row)`` names its place. The range takes
-    the first minimal and maximal values in row order, as Python's min and
-    max do, so a zero keeps the sign it has first.
+    column, or a cell a column declared numeric cannot parse, is a DataError
+    at ``where(row)``. The range takes the first minimal and maximal values in
+    row order, as Python's min and max do, so a zero keeps the sign it has first.
     """
     if kind == "categorical":
         return AttributeSpec(name, kind), None
@@ -205,7 +204,7 @@ def _typed_column(name: str, cells: Sequence, kind: str | None,
         raise DataError(f"column {name!r} has non-finite value {values[row]} "
                         f"at {where(row)}")
     if bad is not None:
-        raise DataError(f"column {name!r} declared numeric but row {bad} "
+        raise DataError(f"column {name!r} declared numeric but {where(bad)} "
                         f"has unparsable cell {cells[bad]!r}")
     present = values[~np.isnan(values)]
     if not len(present):

@@ -444,7 +444,7 @@ def load_table_by_rows(csv_data, decision_name, schema_hints=None, table_id=""):
                     parsed.append(float(v))
                 except (TypeError, ValueError):
                     raise DataError(
-                        f"column {name!r} declared numeric but row {i} "
+                        f"column {name!r} declared numeric but line {lines[i]} "
                         f"has unparsable cell {v!r}") from None
                 if parsed[-1] in (float("inf"), float("-inf")):
                     raise DataError(f"column {name!r} has non-finite value "

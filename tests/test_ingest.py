@@ -145,7 +145,7 @@ class TestNonFiniteAndNan:
     def test_first_faulty_row_wins_over_later_unparsable_cell(self):
         with pytest.raises(DataError, match="non-finite value inf at line 2"):
             load_table("x,d\ninf,p\nfoo,q\n", "d", schema_hints={"x": "numeric"})
-        with pytest.raises(DataError, match="row 0 has unparsable cell 'foo'"):
+        with pytest.raises(DataError, match="line 2 has unparsable cell 'foo'"):
             load_table("x,d\nfoo,p\ninf,q\n", "d", schema_hints={"x": "numeric"})
 
     @pytest.mark.parametrize("nan", ["nan", "NaN", "-nan"])
@@ -214,7 +214,7 @@ class TestNonFiniteAndNan:
             with pytest.raises(DataError, match=message):
                 InformationTable(attributes, columns, decision)
         table = InformationTable(specs, {"x": x, "d": (["q", "p"], codes([0, 1]))}, "d")
-        assert table.decision_labels == ["q", "p"] and table.column("d") is table.decision_labels
+        assert table.decision_labels == ["q", "p"] and table.column("d") == table.decision_labels
 
     def test_unhashable_categorical_cell_is_data_error(self):
         with pytest.raises(DataError, match="categorical column 'c' has an unhashable cell"):

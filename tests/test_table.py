@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from granulens import (
     MISSING,
     Partition,
     discretize,
+    granular_entropy,
     load_table,
     partition_by,
+    regions,
 )
 from granulens.table import refine
 
+from conftest import DATA_DIR
 from helpers import (partition_by_fold, random_attr_subset, random_table, random_view,
                      refine_by_fold, refines_by_loop)
 
@@ -56,6 +60,25 @@ class TestLoadTable:
             load_table("", "d")
         with pytest.raises(DataError, match="empty"):
             load_table("a,d\n", "d")
+
+    def test_columns_cannot_be_changed_through_column(self):
+        table = load_table((DATA_DIR / "toy8.csv").read_bytes(), "d")
+        with pytest.raises(ValueError, match="read-only"):
+            table.column("a2")[:] = 0.0
+        labels = table.decision_labels
+        labels[0] = "zzz"
+        assert table.decision_labels[0] == "0" and table.decision_labels is not labels
+        part = partition_by(discretize(table, GranulationScheme({"a2": 2})), ["a2"])
+        assert part.block_count == 4 and table.attribute("a2").observed_range == (0.5, 7.5)
+        assert regions(part, table.decision_labels).gamma == Fraction(3, 4)
+        assert granular_entropy(part, table.decision_codes).boundary_fraction == Fraction(1, 4)
+
+        built = InformationTable.from_columns(
+            {"x": np.arange(3), "c": [1, True, "a"], "d": ["p", "q", "p"]}, "d")
+        with pytest.raises(ValueError, match="read-only"):
+            built.column("x")[0] = 5.0
+        built.column("c")[0] = "zzz"
+        assert built.column("c") == [1, True, "a"]
 
     def test_question_mark_is_missing(self):
         table = load_table("a,d\n?,0\n3,1\n", "d")
