@@ -5,6 +5,7 @@ import csv
 import gc
 import io
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -731,6 +732,73 @@ def test_typed_mixed_table_matches_exact_path_and_row_oracle(inputs):
     assert got == _table_state(_exactly(load_table, text, "d", schema_hints=hints))
     if _by_rows_reads(text):
         assert got == _table_state(outcome(load_table_by_rows, text, "d", schema_hints=hints))
+
+
+#: cells of plain tables: no quotes, no padding, and none wider than four bytes
+PLAIN_NUMBER = st.one_of(st.integers(-99, 99).map(str),
+                         st.sampled_from(["2.5", "-0.0", ".5", "5.", "1e3", "0.25", "nan"]))
+PLAIN_WORD = st.sampled_from(["a", "b", "ab", "x y", "\u03a9", "a\u2028", "-"])
+
+
+@st.composite
+def plain_tables(draw):
+    """Tables in ``reader.scan``'s grammar with schema hints, which the byte path reads.
+
+    No cell is quoted or padded, no line is blank, no record ends in a bare CR, no
+    token is wider than the rows, and a numeric column has a number (or a blank) in
+    its first record. Hints fall on any column, the decision included; a hint that
+    contradicts the cells, an invalid kind and an unknown name are rare.
+    """
+    rnd = draw(st.randoms(use_true_random=False))
+    kinds = draw(st.lists(st.sampled_from(["numeric", "numeric", "categorical"]),
+                          min_size=1, max_size=3))
+    n = draw(st.integers(4, 9))
+    columns = []
+    for kind in kinds:
+        pool = PLAIN_NUMBER if kind == "numeric" else st.one_of(PLAIN_WORD, PLAIN_NUMBER)
+        col = [draw(st.just("") if rare(rnd, 0.1) else pool) for _ in range(n)]
+        if kind == "categorical":
+            col[0] = draw(PLAIN_WORD)  # so the first record infers it categorical
+            if rare(rnd, 0.1):
+                col[rnd.randrange(1, n)] = "?"
+        columns.append(col)
+    columns.append([draw(st.sampled_from(["p", "q", "0", "1"])) for _ in range(n)])
+    header = [f"x{i}" for i in range(len(kinds))] + ["d"]
+    kinds.append("categorical")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(header) - 1))  # the decision need not be last
+        for seq in (header, columns, kinds):
+            seq.insert(at, seq.pop())
+    hints = {}
+    for name, kind in zip(header, kinds):
+        if rare(rnd, 0.5):
+            other = "categorical" if kind == "numeric" else "numeric"
+            hints[name] = other if rare(rnd, 0.05 if name != "d" else 0.5) else kind
+    if rare(rnd, 0.03):
+        hints[rnd.choice(header)] = "bogus"
+    if rare(rnd, 0.03):
+        hints["zz"] = "numeric"  # unknown column
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
+    return eol.join(lines) + ("" if rare(rnd, 0.1) else eol), hints
+
+
+def test_plain_hinted_tables_are_read_by_bytes():
+    hits = Counter()
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_tables())
+    def check(inputs):
+        text, hints = inputs
+        reads = _exact_reads(load_table, text, "d", schema_hints=hints)
+        got = _table_state(outcome(load_table, text, "d", schema_hints=hints))
+        assert got == _table_state(_exactly(load_table, text, "d", schema_hints=hints))
+        assert got == _table_state(outcome(load_table_by_rows, text, "d", schema_hints=hints))
+        if hints:
+            hits.update(["hinted"] + ["by bytes"] * (reads == 0))
+
+    check()
+    assert hits["by bytes"] > hits["hinted"] / 2, hits
 
 
 def test_load_table_leaves_a_bytearray_as_it_is():
