@@ -67,10 +67,10 @@ class GranulationScheme:
 class InformationTable:
     """Immutable universe of objects with condition attributes and one decision.
 
-    It keeps its columns as given: a float64 ndarray per numeric attribute (read-only
-    once loaded), and per categorical one the pair of its distinct tokens (a list) and
-    each object's code among them (a read-only int64 ndarray, numbering the tokens by
-    first occurrence)."""
+    It keeps its columns as given: a float64 ndarray per numeric attribute, and per
+    categorical one the pair of its distinct tokens (a list) and each object's code
+    among them (a read-only int64 ndarray, numbering the tokens by first occurrence).
+    ``load_table`` and ``from_columns`` make their numeric arrays read-only too."""
 
     def __init__(self, attributes: Sequence[AttributeSpec],
                  columns: Mapping[str, Sequence], decision: str,
@@ -100,7 +100,7 @@ class InformationTable:
         self.n = lengths.pop()
         if self.n < 1:
             raise DataError("empty table: need at least one object")
-        self._cells: dict[str, tuple] = {}  # categorical cells kept as given
+        self._cells: dict[str, tuple] = {}  # from_columns' cells where one is not a str
 
         dec_spec = self._spec_by_name[decision]
         if dec_spec.kind != "categorical":
