@@ -11,7 +11,8 @@ per greedy candidate. The relabel oracle ranks integer keys with
 ``np.unique`` and orders the ranks by an argsort of their first rows. The granular-entropy
 oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
 CSV loader oracles walk the input row by row and cell by cell, and
-``_exactly`` runs a loader with only its csv path.
+``_exactly`` runs a loader with only its csv path, and ``_exact_reads`` counts
+the times a loader reads by it.
 """
 
 import csv
@@ -28,7 +29,7 @@ from granulens import (MISSING, AttributeSpec, DataError, EvalReport,
                        GranulationScheme, InformationTable, ModelRun, Partition,
                        ReductResult, SweepPoint, conditional, dependency,
                        discretize, granular_entropy, load_table)
-from granulens.reader import encoded
+from granulens.reader import encoded, read_columns
 from granulens.entropy import _conditional_bits
 from granulens.reduction import ReductStep
 from granulens.rough import _label_matrix, _positive_count, region_fractions
@@ -532,6 +533,20 @@ def _exactly(load, *args, **kwargs):
     with mock.patch("granulens.table.scan", return_value=None), \
             mock.patch("granulens.harness.scan", return_value=None):
         return outcome(load, *args, **kwargs)
+
+
+def _exact_reads(load, *args, **kwargs):
+    """Times ``load`` fell back to read_columns, the csv path."""
+    calls = []
+
+    def counting(*a, **k):
+        calls.append(a)
+        return read_columns(*a, **k)
+
+    with mock.patch("granulens.table.read_columns", counting), \
+            mock.patch("granulens.harness.read_columns", counting):
+        outcome(load, *args, **kwargs)
+    return len(calls)
 
 
 def coded_by_dict(cells):

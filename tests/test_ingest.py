@@ -15,12 +15,11 @@ from hypothesis import given, settings, strategies as st
 from granulens import (MISSING, AttributeSpec, DataError, InformationTable, load_run,
                        load_table, read_curve)
 from granulens.cli import run_cli
-from granulens.reader import read_columns
 from granulens.table import _BLANK, _DENSE, factorize
 
 from conftest import DATA_DIR
-from helpers import (_exactly, factorize_by_unique, load_run_by_rows, load_table_by_rows,
-                     outcome, rare, run_csv)
+from helpers import (_exact_reads, _exactly, factorize_by_unique, load_run_by_rows,
+                     load_table_by_rows, outcome, rare, run_csv)
 
 PAD = st.sampled_from(["", "", " ", "\t", " ", "\xa0", "\x1c", " 　"])
 NUMBER = st.one_of(
@@ -382,7 +381,9 @@ def test_factorize_dense_keys_without_unique(monkeypatch):
 
 
 def test_loading_makes_no_full_collection():
-    """Row lists must die young: none may be promoted into the old generations."""
+    """Row lists must die young: none may be promoted into the old generations.
+    The inputs are plain, so the byte paths read them; a second pass reads them
+    by the csv path, whose chunked transposition (``reader._CHUNK``) this guards."""
     rng = np.random.default_rng(11)
     values = np.round(rng.uniform(size=(20_000, 20)), 6)
     header = ",".join(f"a{j}" for j in range(20)) + ",d\n"
@@ -397,13 +398,17 @@ def test_loading_makes_no_full_collection():
         run_texts.append("object_index,predicted,granule\n" + "".join(
             f"{i},k{i % 3},g{i % 7}\n" for i in order))
 
-    gc.collect()
-    before = gc.get_stats()[2]["collections"]
-    table = load_table(table_text, "d")
-    runs = [load_run(text, runs_table) for text in run_texts]
-    assert gc.get_stats()[2]["collections"] == before
-    assert table.n == 20_000 and all(len(r.predicted) == n for r in runs)
-    assert not math.isnan(table.attribute("a0").observed_range[0])
+    def load_all():
+        table = load_table(table_text, "d")
+        runs = [load_run(text, runs_table) for text in run_texts]
+        assert table.n == 20_000 and all(len(r.predicted) == n for r in runs)
+        assert not math.isnan(table.attribute("a0").observed_range[0])
+
+    for load, reads in [(outcome, 0), (_exactly, 4)]:
+        gc.collect()
+        before = gc.get_stats()[2]["collections"]
+        assert _exact_reads(load, load_all) == reads
+        assert gc.get_stats()[2]["collections"] == before
 
 
 #: characters str.splitlines breaks at but csv treats as ordinary cell text
@@ -818,20 +823,6 @@ def test_blank_reads_as_nan_with_the_bytes_of_math_nan():
     nan = np.float64(math.nan).tobytes()
     assert np.float64(float(BLANK)).tobytes() == nan
     assert values.tobytes() == np.array([[math.nan, -0.0], [2.5e-3, math.nan]]).tobytes()
-
-
-def _exact_reads(load, *args, **kwargs):
-    """Times ``load`` fell back to read_columns."""
-    calls = []
-
-    def counting(*a, **k):
-        calls.append(a)
-        return read_columns(*a, **k)
-
-    with mock.patch("granulens.table.read_columns", counting), \
-            mock.patch("granulens.harness.read_columns", counting):
-        outcome(load, *args, **kwargs)
-    return len(calls)
 
 
 class TestTypedPathSelection:
