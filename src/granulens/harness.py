@@ -4,10 +4,10 @@ Runs arrive as CSV files (``object_index,predicted[,granule]``); the model
 is never trained in-process. The model-induced partition comes from the
 granule column when present, otherwise from grouping equal predictions.
 
-A run in ``reader.scan``'s grammar, as CSV writers emit such files (see
-``_read_run``), is read from its fields' bytes, its tokens coded by
-``table.code_fields``; any other run goes to ``reader.read_columns``, the
-csv path, which also composes every error.
+A run in ``reader.scan``'s grammar, each object_index 1-18 ASCII digits, is
+read from its fields' bytes, its tokens coded by ``table.code_fields``; any
+other run goes to ``reader.read_columns``, the csv path. Both then share one
+copy of the header checks and of the object_index checks.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .table import InformationTable, Partition, _coded, _listed, code_fields, fa
 from .entropy import granular_entropy
 
 _DIRECTIVE = re.compile(r"#\s*run_id=(\S+)(?:\s+meta=(.*))?\s*$")
-#: the header line _read_run takes; group 1 is the granule column
-_HEADER = re.compile(rb"object_index,predicted(,granule)?\r?\n")
 
 
 @dataclass(frozen=True)
@@ -76,20 +74,6 @@ class ComparisonVerdict:
     tolerance_used: float
 
 
-def _read_run(body: bytes, width: int) -> tuple[np.ndarray, list[tuple[list, np.ndarray]]] | None:
-    """object_index values, and the distinct tokens and their codes per token column,
-    of the records in ``body``, the bytes after the header line, in file order. None
-    unless they are in ``reader.scan``'s grammar, each object_index is 1-18 ASCII
-    digits, and ``code_fields`` codes each token column."""
-    scanned = scan(body, width)
-    if scanned is None:
-        return None
-    data, bounds = scanned
-    index = _digits(data, *bounds(0))
-    coded = [code_fields(data, *bounds(c)) for c in range(1, width)]
-    return None if index is None or None in coded else (index, coded)
-
-
 def _digits(data: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """Values of the fields ``data[start:end]``, each the first of its record, or
     None unless each is 1-18 ASCII digits."""
@@ -128,22 +112,28 @@ def load_run(csv_data: bytes | str, table: InformationTable,
             run_id = m.group(1)
             meta = (m.group(2) or "").strip()
         body, skipped = body[len(first):], 1
-    line = _HEADER.match(body)
-    read = _read_run(body[line.end():], 3 if line[1] else 2) if line else None
+    scanned = scan(body)
+    read = None
+    if scanned is not None:
+        header, data, bounds = scanned
+        values = _digits(data, *bounds(0))
+        coded = [code_fields(data, *bounds(c)) for c in range(1, len(header))]
+        read = None if values is None or None in coded else (values, coded)
+    if read is None:
+        header, cells, blanks, ragged = read_columns(body, skipped)
+        if header is None:
+            raise DataError("empty run file")
+    header = [h.strip() for h in header]
+    if header[:2] != ["object_index", "predicted"]:
+        raise DataError("run header must start with object_index,predicted")
+    extra = header[3:] if header[2:3] == ["granule"] else header[2:]
+    if extra:
+        raise DataError(f"unexpected run column {extra[0]!r}: "
+                        "the header is object_index,predicted[,granule]")
     if read is not None:
         values, coded = read
         bad = ragged = None
     else:
-        header, cells, blanks, ragged = read_columns(body, skipped)
-        if header is None:
-            raise DataError("empty run file")
-        header = [h.strip() for h in header]
-        if header[:2] != ["object_index", "predicted"]:
-            raise DataError("run header must start with object_index,predicted")
-        extra = header[3:] if header[2:3] == ["granule"] else header[2:]
-        if extra:
-            raise DataError(f"unexpected run column {extra[0]!r}: "
-                            "the header is object_index,predicted[,granule]")
         values, bad = convert_cells(int, cells[0])
         coded = map(_coded, cells[1:])  # once the rows are valid
 

@@ -38,23 +38,26 @@ def encoded(data: bytes | str) -> bytes:
         raise DataError(f"input is not valid UTF-8: {exc}") from None
 
 
-def scan(body: bytes, width: int) -> tuple[
-        np.ndarray, Callable[[int], tuple[np.ndarray, np.ndarray]]] | None:
-    """The bytes and fields of the records in ``body``, or None unless it is in the
-    plain grammar: ``width`` fields per record, at least 2, each record ended by LF,
-    CRLF or (the last) the end of the text; no ``"``; no byte below 0x20 but a line
-    end; no field longer than the csv module's limit. A table's header is record 0,
-    so its fields are checked too.
+def scan(body: bytes) -> tuple[
+        list[str], np.ndarray, Callable[[int], tuple[np.ndarray, np.ndarray]]] | None:
+    """The header, the bytes and the records after the header of ``body``, or None
+    unless it is in the plain grammar: as many fields per record as the header, at
+    least 2 (with one, a blank line would read as an empty field); at least one
+    record after the header; each record ended by LF, CRLF or (the last) the end of
+    the text; no ``"``; no byte below 0x20 but a line end; no field, the header's
+    included, longer than the csv module's limit.
 
-    Returns ``body`` as uint8, ended by an LF and with each CR read as an LF, so all
-    fields of a column end on one byte, and ``bounds``: the start and end offsets of
-    field ``c`` of every record are ``bounds(c)``, computed on each call."""
+    Returns the header's fields, ``body`` as uint8, ended by an LF and with each CR
+    read as an LF, so all fields of a column end on one byte, and ``bounds``: the
+    start and end offsets of field ``c`` of every record after the header are
+    ``bounds(c)``, computed on each call."""
+    width = body[:body.find(b"\n")].count(b",") + 1
     if width < 2 or b'"' in body:
         return None
     body = body if body.endswith(b"\n") else body + b"\n"  # a new object: += extends a bytearray
     data = np.frombuffer(body, dtype=np.uint8)
     seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    if len(seps) % width:
+    if len(seps) % width or len(seps) < 2 * width:
         return None
     seps = seps.reshape(-1, width)
     crs = np.flatnonzero(data == ord("\r"))
@@ -64,18 +67,20 @@ def scan(body: bytes, width: int) -> tuple[
             or np.count_nonzero(data < 0x20) != len(seps) + len(crs)):
         return None
     last = seps[:, -1] - (data[seps[:, -1] - 1] == ord("\r"))  # a CRLF's CR ends the field
+    header = body[:last[0]].decode("utf-8", "surrogatepass").split(",")
     if len(crs):
         data = data.copy()
         data[crs] = ord("\n")
 
     def bounds(c: int) -> tuple[np.ndarray, np.ndarray]:
-        start = (seps[:, c - 1] if c else np.concatenate(([-1], seps[:-1, -1]))) + 1
-        return start, seps[:, c] if c < width - 1 else last
+        start = (seps[1:, c - 1] if c else seps[:-1, -1]) + 1
+        return start, seps[1:, c] if c < width - 1 else last[1:]
 
     limit = csv.field_size_limit()
-    if any(int((end - start).max()) > limit for start, end in map(bounds, range(width))):
+    if max(map(len, header)) > limit or any(
+            int((end - start).max()) > limit for start, end in map(bounds, range(width))):
         return None
-    return data, bounds
+    return header, data, bounds
 
 
 def read_columns(body: bytes, skipped: int = 0) -> tuple[

@@ -260,24 +260,17 @@ def _read_plain(body: bytes, kinds: Mapping[str, str]) -> tuple[list[str], list,
     MISSING if missing, and coded again. One np.loadtxt call reads the numeric
     columns, with ``_BLANK`` in each empty field. None where it rejects a field
     (``?``, a blank-only field, ``1_0``, non-ASCII, a word further down) or reads a
-    column of NaN only (which the csv path may call categorical); for one column (a
-    blank line would read as an empty field), no data record, or a token too wide
-    to code. No record is blank or spans lines, so ``line_of`` is exact here.
+    column of NaN only (which the csv path may call categorical), or for a token too
+    wide to code. No record is blank or spans lines, so ``line_of`` is exact here.
     """
-    width = body[:body.find(b"\n")].count(b",") + 1
-    scanned = scan(body, width)
+    scanned = scan(body)
     if scanned is None:
         return None
-    data, bounds = scanned
-    header, raw, numeric, empty = [], [], [], []
-    for c in range(width):
+    header, data, bounds = scanned
+    raw, numeric, empty = [], [], []
+    for c, name in enumerate(header):
         start, end = bounds(c)
-        if len(start) < 2:
-            return None
-        name, first = (data[i:k].tobytes().decode("utf-8", "surrogatepass")
-                       for i, k in zip(start[:2].tolist(), end[:2].tolist()))
-        header.append(name)
-        start, end = start[1:], end[1:]
+        first = data[start[0]:end[0]].tobytes().decode("utf-8", "surrogatepass")
         bad = convert_cells(float, [first.strip()], _AS_MISSING)[1]  # the csv path's inference
         if kinds.get(name, "numeric" if bad is None else "categorical") != "numeric":
             fields = code_fields(data, start, end)

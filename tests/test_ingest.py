@@ -274,16 +274,25 @@ class TestKindsAndTotalDecision:
             InformationTable.from_columns({"x": [1, 2], "d": ["p", MISSING]}, "d")
 
 
+#: run headers with a column load_run rejects, and that column
+UNEXPECTED_COLUMNS = [
+    (("object_index", "predicted", "granules"), "granules"),
+    (("object_index", "predicted", "granule", "score"), "score"),
+    (("object_index", "predicted", "score", "granule"), "score")]
+
+
+def _run_under(header, table):
+    """A valid run of ``table`` under ``header``, each column past the second all "g"."""
+    rows = [[i, label] + ["g"] * (len(header) - 2)
+            for i, label in enumerate(table.decision_labels)]
+    return run_csv(rows, header=header)
+
+
 class TestRunFaults:
-    @pytest.mark.parametrize("header, bad", [
-        (("object_index", "predicted", "granules"), "granules"),
-        (("object_index", "predicted", "granule", "score"), "score"),
-        (("object_index", "predicted", "score", "granule"), "score")])
+    @pytest.mark.parametrize("header, bad", UNEXPECTED_COLUMNS)
     def test_unexpected_column_is_data_error(self, toy8, header, bad):
-        rows = [[i, label] + ["g"] * (len(header) - 2)
-                for i, label in enumerate(toy8.decision_labels)]
         with pytest.raises(DataError, match=f"unexpected run column '{bad}'"):
-            load_run(run_csv(rows, header=header), toy8)
+            load_run(_run_under(header, toy8), toy8)
 
     def test_first_duplicate_in_file_order_is_named(self, toy8):
         rows = [[i, "0"] for i in (5, 2, 5, 2, 0, 1, 3, 4)]
@@ -595,10 +604,13 @@ def typed_tables(draw):
 
 @st.composite
 def typed_runs(draw, n):
-    """Run files written cell by cell, with rare faults in object_index."""
+    """Run files written cell by cell, with rare faults in object_index and rare
+    padded, quoted or wrong header names."""
     rnd = draw(st.randoms(use_true_random=False))
-    granule = draw(st.booleans())
-    rows = [[str(i), draw(TYPED_WORD), draw(TYPED_WORD)][:2 + granule] for i in range(n)]
+    names = ["object_index", "predicted"] + ["granule"] * draw(st.booleans())
+    if rare(rnd, 0.05):
+        names[2:] = ["granule", "score"]
+    rows = [[str(i)] + [draw(TYPED_WORD) for _ in names[1:]] for i in range(n)]
     rows = draw(st.permutations(rows))
     while rare(rnd, 0.2):
         rows[rnd.randrange(n)][0] = draw(st.sampled_from(
@@ -608,10 +620,13 @@ def typed_runs(draw, n):
         rows = rows[:-1]
     if rare(rnd, 0.03) and rows:  # n == 1 may have lost its only row
         rows[0] = rows[0] + ["1"]
-    header = "object_index,predicted"
-    if rare(rnd, 0.1):
-        header = rnd.choice(['"object_index",predicted', "object_index, predicted"])
-    lines = [header + ",granule" * granule] + [",".join(row) for row in rows]
+    header = ",".join(names)
+    if rare(rnd, 0.15):  # a header that reads alike, or a wrong one
+        header = header.replace(*rnd.choice([
+            ("object_index", '"object_index"'), (",predicted", ", predicted"),
+            ("object_index", "\u3000object_index"), ("granule", " granule\u3000"),
+            ("granule", "granules")]), 1)
+    lines = [header] + [",".join(row) for row in rows]
     if draw(st.booleans()):
         lines.insert(0, "# run_id=r1 meta=k=3")
     return _join(draw, rnd, lines)
@@ -976,7 +991,7 @@ class TestTypedPathSelection:
         assert np.isnan(load_table(text, "d").column("b")[-1])
 
 
-# --- the run byte reader (harness._read_run) against the exact path ----------
+# --- the run byte reader (reader.scan in load_run) against the exact path -----
 
 def _run_read_alike(text, table, exact_reads):
     """Outcome of ``load_run`` after checking it takes the path ``exact_reads``
@@ -1023,6 +1038,21 @@ class TestRunByteReaderPath:
     def test_header_only(self, toy8, eol):
         got = _run_read_alike("object_index,predicted,granule" + eol, toy8, 1)
         assert got == "DataError: run row count 0 != universe size 8"
+
+    @pytest.mark.parametrize("header", [
+        " object_index , predicted,granule", "\u3000object_index,predicted\u3000,granule",
+        "object_index,predicted,\u3000granule "])
+    def test_padded_header(self, toy8, header):
+        """The csv path strips header names, never tokens: the byte path reads these."""
+        text = self.BASE.replace("object_index,predicted,granule", header)
+        assert _run_read_alike(text, toy8, 0) == load_run(self.BASE, toy8)
+
+    @pytest.mark.parametrize("header, message", [
+        (header, f"unexpected run column '{bad}'") for header, bad in UNEXPECTED_COLUMNS] + [
+        (("obj", "predicted"), "run header must start with object_index,predicted")])
+    def test_wrong_header(self, toy8, header, message):
+        got = _run_read_alike(_run_under(header, toy8), toy8, 0)
+        assert got.startswith(f"DataError: {message}")
 
     @pytest.mark.parametrize("column, value, exact", [
         (1, "", 0), (2, "", 0), (1, "p\u2028x", 0), (2, "g\x85y", 0), (1, "Ω\x7f", 0),
