@@ -1186,25 +1186,35 @@ def test_bench_shaped_run_skips_csv_and_loadtxt(eol):
 
 
 #: tokens in the byte reader's grammar: no quote, no byte below 0x20
-PLAIN_WORD = st.sampled_from(["a", "b", "", " a ", "x y", "Ω", "p\u2028q", "\x85",
-                              "1", "#", "\x7f", "ab", "aé", "g12", "g1", "g120"])
+RUN_TOKEN = st.sampled_from(["a", "b", "", " a ", "x y", "Ω", "p\u2028q", "\x85",
+                             "1", "#", "\x7f", "ab", "aé", "g12", "g1", "g120"])
+#: padding around a run header name, which both paths strip
+NAME_PAD = st.sampled_from(["", " ", "\u3000", "\xa0"])
 
 
 @st.composite
 def plain_runs(draw, n):
     """Runs in the byte reader's grammar, with rare faults that load_run rejects,
-    and the read_columns calls expected: 1 where a token is wider than the rows."""
+    and the read_columns calls expected: 1 where a token is wider than the rows.
+    Half pad their header names; a wrong name or a fourth column is rare."""
     rnd = draw(st.randoms(use_true_random=False))
-    granule = draw(st.booleans())
-    rows = [[draw(st.sampled_from(["", "0", "00"])) + str(i), draw(PLAIN_WORD),
-             draw(PLAIN_WORD)][:2 + granule] for i in range(n)]
+    names = ["object_index", "predicted"] + ["granule"] * draw(st.booleans())
+    if rare(rnd, 0.05):
+        names[2:] = ["granule", "score"]
+    if rare(rnd, 0.1):
+        at = rnd.randrange(len(names))
+        names[at] = ["obj", "pred", "granules", "score"][at]
+    pad = NAME_PAD if rare(rnd, 0.5) else st.just("")
+    header = ",".join(draw(pad) + name + draw(pad) for name in names)
+    rows = [[draw(st.sampled_from(["", "0", "00"])) + str(i)]
+            + [draw(RUN_TOKEN) for _ in names[1:]] for i in range(n)]
     rows = draw(st.permutations(rows))
     if rare(rnd, 0.1):
         rows[rnd.randrange(n)][0] = draw(st.sampled_from([str(n), "9" * 18, rows[0][0]]))
     if rare(rnd, 0.1):
         rows = rows[:-1]
     widest = max((len(cell.encode()) for row in rows for cell in row[1:]), default=0)
-    lines = ["object_index,predicted" + ",granule" * granule] + [",".join(r) for r in rows]
+    lines = [header] + [",".join(r) for r in rows]
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
                          max_size=len(lines)))
     if draw(st.booleans()):
