@@ -45,7 +45,7 @@ def scan(body: bytes) -> tuple[
     least 2 (with one, a blank line would read as an empty field); at least one
     record after the header; each record ended by LF, CRLF or (the last) the end of
     the text; no ``"``; no byte below 0x20 but a line end; no field, the header's
-    included, longer than the csv module's limit.
+    included, with more bytes than the csv module's limit.
 
     Returns the header's fields, ``body`` as uint8, ended by an LF and with each CR
     read as an LF, so all fields of a column end on one byte, and ``bounds``: the
@@ -67,7 +67,7 @@ def scan(body: bytes) -> tuple[
             or np.count_nonzero(data < 0x20) != len(seps) + len(crs)):
         return None
     last = seps[:, -1] - (data[seps[:, -1] - 1] == ord("\r"))  # a CRLF's CR ends the field
-    header = body[:last[0]].decode("utf-8", "surrogatepass").split(",")
+    names = body[:last[0]].split(b",")  # commas are ASCII: no UTF-8 sequence spans one
     if len(crs):
         data = data.copy()
         data[crs] = ord("\n")
@@ -77,10 +77,10 @@ def scan(body: bytes) -> tuple[
         return start, seps[1:, c] if c < width - 1 else last[1:]
 
     limit = csv.field_size_limit()
-    if max(map(len, header)) > limit or any(
+    if max(map(len, names)) > limit or any(
             int((end - start).max()) > limit for start, end in map(bounds, range(width))):
         return None
-    return header, data, bounds
+    return [name.decode("utf-8", "surrogatepass") for name in names], data, bounds
 
 
 def read_columns(body: bytes, skipped: int = 0) -> tuple[

@@ -407,17 +407,22 @@ def test_loading_makes_no_full_collection():
         run_texts.append("object_index,predicted,granule\n" + "".join(
             f"{i},k{i % 3},g{i % 7}\n" for i in order))
 
+    done = []
+
     def load_all():
         table = load_table(table_text, "d")
         runs = [load_run(text, runs_table) for text in run_texts]
         assert table.n == 20_000 and all(len(r.predicted) == n for r in runs)
         assert not math.isnan(table.attribute("a0").observed_range[0])
+        done.append(load)
 
+    # outcome and _exactly return a DataError: done shows each pass loaded all
     for load, reads in [(outcome, 0), (_exactly, 4)]:
         gc.collect()
         before = gc.get_stats()[2]["collections"]
         assert _exact_reads(load, load_all) == reads
         assert gc.get_stats()[2]["collections"] == before
+        assert done[-1:] == [load]
 
 
 #: characters str.splitlines breaks at but csv treats as ordinary cell text
@@ -920,6 +925,20 @@ class TestTypedPathSelection:
         assert _exact_reads(load_table, text, "d", schema_hints=hints) == 0
         assert _table_state(outcome(load_table, text, "d", schema_hints=hints)) == _table_state(
             _exactly(load_table, text, "d", schema_hints=hints))
+
+    @pytest.mark.parametrize("name, exact", [("\u00e9" * 6, 0), ("\u00e9" * 7, 1)])
+    def test_header_field_limit_counts_bytes(self, name, exact):
+        """scan measures every field, the header's too, in bytes, and the csv module
+        in characters: a name over the limit only in bytes goes to the csv path."""
+        old = csv.field_size_limit(12)
+        try:
+            text = self.PLAIN.replace("a,b", name + ",b", 1)
+            assert _exact_reads(load_table, text, "d") == exact
+            got = outcome(load_table, text, "d")
+            assert _table_state(got) == _table_state(_exactly(load_table, text, "d"))
+            assert got.attributes[0].name == name
+        finally:
+            csv.field_size_limit(old)
 
     def test_table_with_only_a_header_or_one_column_falls_back(self):
         assert _exact_reads(load_table, "a,d\n\n", "d") == 1
