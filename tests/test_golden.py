@@ -29,6 +29,8 @@ CASES = {
     "rough": (["rough", "--attrs", "{attrs}", "--bits", "2", "--out", "rough.json"],
               ["rough.json"]),
     "rough-class": (["rough", "--attrs", "{attrs}", "--bits", "1", "--class", "{cls}"], []),
+    "rough-class-json": (["rough", "--attrs", "{attrs}", "--bits", "1", "--class", "{cls}",
+                          "--out", "rough_class.json"], ["rough_class.json"]),
     "entropy": (["entropy", "--attrs", "{attrs}", "--bits", "3", "--out", "entropy.json"],
                 ["entropy.json"]),
     "sweep-csv-svg": (["sweep", "--attrs", "{attrs}", "--bits", "0..6", "--out", "curve.csv",
@@ -48,6 +50,7 @@ GOLDEN = {
     ('toy8.csv', 'inspect'): (0, 'fd171db1a0c9d00e60bdbb22c9e9c76bbb1ae2581f6d2b8ae6f88617a03cc6e1', {'inspect.json': '824eb7519cf518f5cea10d0eaad0c1d5e4552c1995bcdd0dfb584a62cccef52b'}),
     ('toy8.csv', 'rough'): (0, '5c43d9516c4f122895ea7c7bcff6ec06543a79df42fe781de0668e47b045253c', {'rough.json': 'b059b6907fc30d68bd4653038c408a6636252dbcb5b00d89db6a0641aff4ad37'}),
     ('toy8.csv', 'rough-class'): (0, 'd9dceb18a51dba5070c32f261404bbffe89bebd10525a1ef9a6ea842b304ee47', {}),
+    ('toy8.csv', 'rough-class-json'): (0, 'd9dceb18a51dba5070c32f261404bbffe89bebd10525a1ef9a6ea842b304ee47', {'rough_class.json': '5b7083b79ca1bdd79be9f9881c6d62638d7dc79d070cacfc5132dc63740472a9'}),
     ('toy8.csv', 'entropy'): (0, '1610b828be810a29b5db487082f89fc817b35fbcc48917c6d465348053f3a342', {'entropy.json': '2438abafd4dc6e394e0fe45756d3c94e203099e3ae06b557ca3ae591f4f22b42'}),
     ('toy8.csv', 'sweep-csv-svg'): (0, '404be128e7451939e5c4c368998ada8a9df0c32f8e772eca811a8029d3b66662', {'curve.csv': '864c70930eeec6cbbc7ed4cfb686f2680af7dbd2ad8e250b534c4897ff8cc6d2', 'curve.svg': '13cb82f13936e3a59dbd68f0155891b2c0da8fc79018ee4cf6050ab56ef76877'}),
     ('toy8.csv', 'sweep-json'): (0, '404be128e7451939e5c4c368998ada8a9df0c32f8e772eca811a8029d3b66662', {'curve.json': '35ab513398a7bb26077528b809c8843e6c2bdfec3886afb45a23dbde05e30057'}),
@@ -58,6 +61,7 @@ GOLDEN = {
     ('titanic_synthetic.csv', 'inspect'): (0, 'ba0bc7ad6e3a8911dea13d5e0d6a6afa2dbc14092a4b13617f3f577e01a0e653', {'inspect.json': '47cefbe545d39bd59e30f6a56365260c1d1844982d97b62e1079a1aac1aada2c'}),
     ('titanic_synthetic.csv', 'rough'): (0, 'f10e955e25788899de9a1e31cb2889a3265f3fdb76706342c0f3c76df21efd82', {'rough.json': 'd43694b6793009f54f8cbc30ed3eae3e171358c1352b63c6db2f5866139faabb'}),
     ('titanic_synthetic.csv', 'rough-class'): (0, 'a5674621084ee6fb041c82efceb1ac78703f33c2710f63a749c5e9479b8fe51a', {}),
+    ('titanic_synthetic.csv', 'rough-class-json'): (0, 'a5674621084ee6fb041c82efceb1ac78703f33c2710f63a749c5e9479b8fe51a', {'rough_class.json': '5554785d92b1a7b21cb0dad0e877dd43f86e7ff14319c04a9d6b025fd8031cfa'}),
     ('titanic_synthetic.csv', 'entropy'): (0, 'ef55b579c2cdbd1f99cc9f1225a4fb03f294818ff709daa1622f2fb1aa7052e8', {'entropy.json': 'e19f4d53f2bc4e5a4c2870efaaa6358fb0379b6f2bfa59edab1866d571f9c1e4'}),
     ('titanic_synthetic.csv', 'sweep-csv-svg'): (0, '9a85186d42357fc0a017794ffdaecfe9228b422192dc1d1900e0ddd246415036', {'curve.csv': '89e3e9d2a1f67a9342bc5452bb851f9cfbbd8c01045e1eeaf064d3421351a78f', 'curve.svg': '2adc28469ab8ba586e541df519faea833554ebb3e48cde199edbbc24e1df94b8'}),
     ('titanic_synthetic.csv', 'sweep-json'): (0, '9a85186d42357fc0a017794ffdaecfe9228b422192dc1d1900e0ddd246415036', {'curve.json': '5563e0b0db6b01560d32c28d8383db8d4d55e28d1bd109d37b648faee296a95d'}),
