@@ -11,14 +11,14 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .errors import GranulensError
 from .table import load_table, discretize, partition_by, GranulationScheme
-from .rough import approximate, regions, ConceptSet
-from .entropy import granular_entropy
+from .rough import approximate, regions, ConceptSet, RoughApproximation
+from .entropy import granular_entropy, GranularEntropyReport
 from .sweep import sweep, convergence_summary
 from .reduction import greedy_reduct, entropy_rank
 from .harness import load_run, evaluate_run, compare_runs
@@ -40,14 +40,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _r9(x) -> float:
-    return float(f"{float(x):.9f}")
+#: fields no report shows: an approximation's class is its key, and per_block shows the counts
+_UNSHOWN = {(RoughApproximation, "label"), (GranularEntropyReport, "counts")}
 
 
-def _rounded(record) -> dict:
-    """A dataclass record as a JSON object, its float and Fraction fields through _r9."""
-    return {key: _r9(value) if isinstance(value, (float, Fraction)) else value
-            for key, value in asdict(record).items()}
+def _json(value):
+    """A record as JSON data: dataclass fields in order, str keys, sorted sets, 9-decimal floats."""
+    if is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in fields(value)
+                 if (type(value), f.name) not in _UNSHOWN}
+    if isinstance(value, dict):
+        return {str(key): _json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, frozenset)):
+        return [_json(item) for item in (sorted(value) if isinstance(value, frozenset) else value)]
+    return float(f"{float(value):.9f}") if isinstance(value, (float, Fraction)) else value
 
 
 def _attrs_list(text: str) -> list[str]:
@@ -153,11 +159,6 @@ def _partition_for(args, table):
     return attrs, partition_by(discretize(table, scheme), attrs)
 
 
-def _approx_payload(a):
-    return {"lower": sorted(a.lower), "upper": sorted(a.upper),
-            "boundary": sorted(a.boundary), "accuracy_alpha": _r9(a.accuracy_alpha)}
-
-
 def cmd_rough(args, table) -> None:
     attrs, part = _partition_for(args, table)
     labels = table.decision_labels
@@ -170,7 +171,7 @@ def cmd_rough(args, table) -> None:
               f"alpha={fmt(float(approx.accuracy_alpha))}")
         print(f"  lower={sorted(approx.lower)}")
         print(f"  boundary={sorted(approx.boundary)}")
-        _emit_json(args, {"class": args.cls, **_approx_payload(approx)})
+        _emit_json(args, {"class": args.cls, **_json(approx)})
     else:
         rep = regions(part, labels)
         print(f"regions under attrs={','.join(attrs) or '(none)'} bits={args.bits}: "
@@ -180,13 +181,7 @@ def cmd_rough(args, table) -> None:
             print(f"  class {cls!r}: |lower|={len(approx.lower)} "
                   f"|boundary|={len(approx.boundary)} "
                   f"alpha={fmt(float(approx.accuracy_alpha))}")
-        _emit_json(args, {
-            "per_class": {str(c): _approx_payload(a) for c, a in rep.per_class.items()},
-            "positive": sorted(rep.positive),
-            "boundary_overall": sorted(rep.boundary_overall),
-            "negative_by_class": {str(c): sorted(s) for c, s in rep.negative_by_class.items()},
-            "gamma": _r9(rep.gamma),
-            "boundary_fraction": _r9(rep.boundary_fraction)})
+        _emit_json(args, _json(rep))
 
 
 def cmd_entropy(args, table) -> None:
@@ -197,8 +192,7 @@ def cmd_entropy(args, table) -> None:
           f"conditional_bits={fmt(rep.conditional_bits)} "
           f"boundary_fraction={fmt(float(rep.boundary_fraction))} "
           f"normalized={fmt(rep.normalized_conditional)}")
-    _emit_json(args, {"per_block": [[b, _r9(w), _r9(h)] for b, w, h in rep.per_block],
-                      **{k: v for k, v in _rounded(rep).items() if k != "counts"}})
+    _emit_json(args, {"per_block": _json(rep.per_block), **_json(rep)})
 
 
 def cmd_sweep(args, table) -> None:
@@ -216,7 +210,7 @@ def cmd_sweep(args, table) -> None:
           f"terminal H={fmt(summary.terminal_entropy)} "
           f"terminal BF={fmt(summary.terminal_boundary)}")
     if args.format == "json":
-        _emit_json(args, [_rounded(p) for p in curve.points])
+        _emit_json(args, _json(curve.points))
     elif args.out:
         write_curve(curve, args.out)
     if args.svg:
@@ -236,8 +230,7 @@ def cmd_reduce(args, table) -> None:
     print("information gain ranking:")
     for name, gain in ranking:
         print(f"  {name}: {fmt(gain)}")
-    _emit_json(args, {**_rounded(result), "trace": [_rounded(step) for step in result.trace],
-                      "entropy_rank": [[name, _r9(gain)] for name, gain in ranking]})
+    _emit_json(args, {**_json(result), "entropy_rank": _json(ranking)})
 
 
 def _evaluate_file(table, path: str):
@@ -254,7 +247,7 @@ def cmd_evaluate(args, table) -> None:
           f"blocks={rep.block_count}"
           + (" (fallback: predicted-label partition)"
              if rep.used_fallback_partition else ""))
-    _emit_json(args, _rounded(rep))
+    _emit_json(args, _json(rep))
 
 
 def cmd_compare(args, table) -> None:
@@ -265,10 +258,8 @@ def cmd_compare(args, table) -> None:
         band = "in band" if r.candidate else "outside band"
         print(f"  {r.run_id}: acc={fmt(r.accuracy)} BF={fmt(r.boundary_fraction)} "
               f"H={fmt(r.conditional_bits)} blocks={r.block_count} ({band})")
-    _emit_json(args, {
-        "selected": verdict.selected,
-        "tolerance_used": verdict.tolerance_used,
-        "ranked": [_rounded(r) for r in verdict.ranked]})
+    _emit_json(args, {"selected": verdict.selected, "tolerance_used": verdict.tolerance_used,
+                      "ranked": _json(verdict.ranked)})
 
 
 def run_cli(argv) -> int:

@@ -12,7 +12,9 @@ per greedy candidate. The relabel oracle ranks integer keys with
 oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
 CSV loader oracles walk the input row by row and cell by cell, and
 ``_exactly`` runs a loader with only its csv path, and ``_exact_reads`` counts
-the times a loader reads by it.
+the times a loader reads by it. ``payload_by_hand`` builds each report's
+``--out`` JSON payload the way the CLI did before one converter built them
+all: field by field, rounding each float and Fraction with ``_r9``.
 """
 
 import csv
@@ -20,14 +22,16 @@ import io
 import math
 import random
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 
 from granulens import (MISSING, AttributeSpec, DataError, EvalReport,
-                       GranulationScheme, InformationTable, ModelRun, Partition,
-                       ReductResult, SweepPoint, conditional, dependency,
+                       GranularEntropyReport, GranulationScheme, InformationTable,
+                       ModelRun, Partition, ReductResult, RegionReport,
+                       RoughApproximation, SweepPoint, conditional, dependency,
                        discretize, granular_entropy, load_table)
 from granulens.reader import encoded, read_columns
 from granulens.entropy import _conditional_bits
@@ -555,3 +559,45 @@ def coded_by_dict(cells):
     codes = np.array([ids.setdefault(cell, len(ids)) for cell in cells], dtype=np.int64)
     codes.flags.writeable = False
     return list(ids), codes
+
+
+def _r9(x) -> float:
+    return float(f"{float(x):.9f}")
+
+
+def _rounded(record) -> dict:
+    """A dataclass record as a JSON object, its float and Fraction fields through _r9."""
+    return {key: _r9(value) if isinstance(value, (float, Fraction)) else value
+            for key, value in asdict(record).items()}
+
+
+def _approx_payload(a):
+    return {"lower": sorted(a.lower), "upper": sorted(a.upper),
+            "boundary": sorted(a.boundary), "accuracy_alpha": _r9(a.accuracy_alpha)}
+
+
+def payload_by_hand(record, ranking=None):
+    """The JSON payload of a report record, its fields listed by hand: rough
+    regions, one class's approximation (without its "class" key), granular
+    entropy, a reduct with its entropy ranking, or a list of records (sweep
+    points, a compare ranking); any other record as ``_rounded``."""
+    if isinstance(record, RoughApproximation):
+        return _approx_payload(record)
+    if isinstance(record, RegionReport):
+        return {
+            "per_class": {str(c): _approx_payload(a) for c, a in record.per_class.items()},
+            "positive": sorted(record.positive),
+            "boundary_overall": sorted(record.boundary_overall),
+            "negative_by_class": {str(c): sorted(s)
+                                  for c, s in record.negative_by_class.items()},
+            "gamma": _r9(record.gamma),
+            "boundary_fraction": _r9(record.boundary_fraction)}
+    if isinstance(record, GranularEntropyReport):
+        return {"per_block": [[b, _r9(w), _r9(h)] for b, w, h in record.per_block],
+                **{k: v for k, v in _rounded(record).items() if k != "counts"}}
+    if isinstance(record, ReductResult):
+        return {**_rounded(record), "trace": [_rounded(step) for step in record.trace],
+                "entropy_rank": [[name, _r9(gain)] for name, gain in ranking]}
+    if isinstance(record, list):
+        return [_rounded(r) for r in record]
+    return _rounded(record)

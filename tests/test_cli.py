@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -12,11 +13,14 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import granulens
 
-from granulens import load_table, read_curve, sweep, emit_svg
-from granulens.cli import run_cli
+from granulens import (ConceptSet, InformationTable, ModelRun, approximate, compare_runs,
+                       emit_svg, entropy_rank, evaluate_run, granular_entropy, greedy_reduct,
+                       load_table, partition_by, read_curve, regions, sweep)
+from granulens.cli import _json, run_cli
 from granulens.curvefile import fmt
 
-from helpers import run_csv
+from helpers import (payload_by_hand, random_attr_subset, random_table, random_view,
+                     run_csv)
 
 
 @pytest.fixture
@@ -111,6 +115,46 @@ class TestRoughCommand:
         assert payload["gamma"] == 0.75
         assert payload["boundary_overall"] == [2, 3]
         assert payload["per_class"]["1"]["lower"] == [4, 5, 6, 7]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_json_matches_payloads_by_hand(seed):
+    """Every record the CLI writes as JSON gives the same bytes through _json
+    as through its fields listed by hand, on a random table and on one whose
+    decision labels are ints and bools: json.dumps writes a key True as "true",
+    str as "True"."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    int_decision = InformationTable.from_columns(
+        {"c0": [rng.choice("uvw") for _ in range(n)],
+         "d": [rng.choice([0, 2, True, False]) for _ in range(n)]}, "d")
+    for table in (random_table(rng), int_decision):
+        view, labels = random_view(rng, table), table.decision_labels
+        attrs = random_attr_subset(rng, table, nonempty=False)
+        part = partition_by(view, attrs)
+        cls = rng.choice(labels)
+        approx = approximate(part, ConceptSet(
+            frozenset(i for i, v in enumerate(labels) if v == cls), table.n, label=cls))
+        rep = granular_entropy(part, table.decision_codes)
+        result = greedy_reduct(view, table.decision_codes)
+        ranking = entropy_rank(view, table.decision_codes)
+        points = sweep(table, attrs, 0, rng.randint(0, 4)).points
+        reports = [evaluate_run(table, ModelRun(
+            f"r{j}", [rng.choice(labels) for _ in labels],
+            rng.choice([None, [rng.randrange(3) for _ in labels]])))
+            for j in range(rng.randint(1, 3))]
+        ranked = compare_runs(reports, tolerance=rng.choice([0.0, 0.2])).ranked
+        pairs = [(_json(regions(part, labels)), payload_by_hand(regions(part, labels))),
+                 (_json(approx), payload_by_hand(approx)),
+                 ({"per_block": _json(rep.per_block), **_json(rep)}, payload_by_hand(rep)),
+                 ({**_json(result), "entropy_rank": _json(ranking)},
+                  payload_by_hand(result, ranking)),
+                 (_json(points), payload_by_hand(points)),
+                 (_json(reports[0]), payload_by_hand(reports[0])),
+                 (_json(ranked), payload_by_hand(ranked))]
+        for ours, by_hand in pairs:
+            assert json.dumps(ours, indent=2) == json.dumps(by_hand, indent=2)
 
 
 class TestOtherCommands:
@@ -232,6 +276,9 @@ def _cli_argv(draw):
     argv += ["--decision", draw(st.just("d") | _NAMES)]
     if cmd in ("rough", "entropy", "sweep"):
         argv += ["--attrs", ",".join(draw(st.lists(_NAMES, max_size=3)))]
+    if cmd == "rough":  # toy8 has the class "1" and no class "zz"
+        cls = draw(st.sampled_from([None, "1", "zz", ""]))
+        argv += ["--class", cls] if cls is not None else []
     if cmd == "sweep":
         bits = draw(st.lists(_BITS, min_size=1, max_size=2))  # may run backwards
         argv += ["--bits", "..".join(bits), "--format", draw(st.sampled_from(["csv", "json"]))]
