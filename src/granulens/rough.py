@@ -58,12 +58,11 @@ def approximate(partition: Partition, concept: ConceptSet) -> RoughApproximation
     if partition.n != concept.universe_size:
         raise UniverseMismatchError(
             f"partition universe {partition.n} != concept universe {concept.universe_size}")
-    mask = np.zeros(partition.n, dtype=bool)
+    member = np.zeros(partition.n, dtype=np.int64)
     if concept.members:
-        mask[list(concept.members)] = True
-    hits = np.bincount(partition.block_of, weights=mask, minlength=partition.block_count)
-    return _approximation(partition.block_of, hits.astype(np.int64),
-                          partition.block_sizes(), concept.label)
+        member[list(concept.members)] = 1
+    counts = _class_counts(partition.block_of, partition.block_count, member, 2)
+    return _approximation(partition.block_of, counts[:, 1], counts.sum(axis=1), concept.label)
 
 
 def _approximation(block_of: np.ndarray, hits: np.ndarray, sizes: np.ndarray,

@@ -430,9 +430,6 @@ class Partition:
             out[b].append(i)
         return out
 
-    def block_sizes(self) -> np.ndarray:
-        return np.bincount(self.block_of, minlength=self.block_count)
-
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self lies within a single block of other."""
         if self.n != other.n:
