@@ -75,12 +75,12 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
         gamma_cur = -neg_gamma
         trace.append(ReductStep(name, gamma_cur, cond_bits))
 
-    # Backward prune: later picks can make earlier ones redundant.
+    # Backward prune: later picks can make earlier ones redundant; gamma stays gamma_full.
     for name in reversed(list(selected)):
         remaining = [a for a in selected if a != name]
         if _gamma_of(view, labels, remaining) == gamma_full:
             selected = remaining
-    return ReductResult(selected, _gamma_of(view, labels, selected), gamma_full, trace)
+    return ReductResult(selected, gamma_full, gamma_full, trace)
 
 
 def exhaustive_reducts(view: DiscreteView, decision_labels,

@@ -214,9 +214,9 @@ def test_one_partition_per_greedy_candidate(monkeypatch):
             m, steps = len(view.condition_names), len(result.trace)
             candidates = sum(m - i for i in range(steps))
             searched += steps > 0
-            # gamma over all attributes and over none, one prune check per
-            # pick, and the final gamma; single-column refines
-            assert len(calls) == 2 + steps + 1
+            # gamma over all attributes and over none, and one prune check
+            # per pick; single-column refines
+            assert len(calls) == 2 + steps
             assert refined == [1] * (steps + refined_per_candidate * candidates)
             assert result == greedy_reduct_by_refine(view, table.decision_labels)
         assert searched >= 10
@@ -239,8 +239,8 @@ def test_one_count_pass_per_greedy_partition(monkeypatch):
             counts.clear()
             result = greedy_reduct(view, table.decision_labels)
             m, steps = len(view.condition_names), len(result.trace)
-            # gamma over all attributes, over none, per prune check and final
-            assert len(counts) == 3 + steps + sum(m - i for i in range(steps))
+            # gamma over all attributes, over none and per prune check
+            assert len(counts) == 2 + steps + sum(m - i for i in range(steps))
 
 
 @settings(max_examples=300, deadline=None)
