@@ -51,8 +51,10 @@ def _json(value):
                  if (type(value), f.name) not in _UNSHOWN}
     if isinstance(value, dict):
         return {str(key): _json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, frozenset)):
-        return [_json(item) for item in (sorted(value) if isinstance(value, frozenset) else value)]
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
     return float(f"{float(value):.9f}") if isinstance(value, (float, Fraction)) else value
 
 
