@@ -59,8 +59,7 @@ def approximate(partition: Partition, concept: ConceptSet) -> RoughApproximation
         raise UniverseMismatchError(
             f"partition universe {partition.n} != concept universe {concept.universe_size}")
     member = np.zeros(partition.n, dtype=np.int64)
-    if concept.members:
-        member[list(concept.members)] = 1
+    member[list(concept.members)] = 1
     counts = _class_counts(partition.block_of, partition.block_count, member, 2)
     return _approximation(partition.block_of, counts[:, 1], counts.sum(axis=1), concept.label)
 
