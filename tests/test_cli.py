@@ -133,7 +133,7 @@ def test_json_matches_payloads_by_hand(seed):
         view, labels = random_view(rng, table), table.decision_labels
         attrs = random_attr_subset(rng, table, nonempty=False)
         part = partition_by(view, attrs)
-        cls = rng.choice(labels)
+        regs, cls = regions(part, labels), rng.choice(labels)
         approx = approximate(part, ConceptSet(
             frozenset(i for i, v in enumerate(labels) if v == cls), table.n, label=cls))
         rep = granular_entropy(part, table.decision_codes)
@@ -145,7 +145,7 @@ def test_json_matches_payloads_by_hand(seed):
             rng.choice([None, [rng.randrange(3) for _ in labels]])))
             for j in range(rng.randint(1, 3))]
         ranked = compare_runs(reports, tolerance=rng.choice([0.0, 0.2])).ranked
-        pairs = [(_json(regions(part, labels)), payload_by_hand(regions(part, labels))),
+        pairs = [(_json(regs), payload_by_hand(regs)),
                  (_json(approx), payload_by_hand(approx)),
                  ({"per_block": _json(rep.per_block), **_json(rep)}, payload_by_hand(rep)),
                  ({**_json(result), "entropy_rank": _json(ranking)},
