@@ -32,6 +32,15 @@ def _gamma_of(view: DiscreteView, labels, attrs: Sequence[str]) -> Fraction:
     return dependency(partition_by(view, list(attrs)), labels)
 
 
+def _counts_by(part: Partition, col, labels, k: int):
+    """(block x class) counts of ``part`` split by ``col``, one row per key ``block * w + code``;
+    ``part`` is refined first only where those rows would pass ``_DENSE * n``."""
+    w = int(col.max()) + 1
+    if part.block_count * w * k <= _DENSE * part.n:  # count rows stay O(n)
+        return _class_counts(part.block_of * w + col, part.block_count * w, labels, k)
+    return _label_matrix(refine(part, [col]), labels)
+
+
 def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     """Forward-select attributes by dependency gain, then prune redundant picks.
 
@@ -59,13 +68,7 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
         for name in names:
             if name in selected:
                 continue
-            col = view.codes_for(name)
-            w = int(col.max()) + 1
-            if chosen.block_count * w * k <= _DENSE * n:  # count rows stay O(n)
-                counts = _class_counts(chosen.block_of * w + col, chosen.block_count * w,
-                                       labels, k)
-            else:
-                counts = _label_matrix(refine(chosen, [col]), labels)
+            counts = _counts_by(chosen, view.codes_for(name), labels, k)
             key = (-Fraction(_positive_count(counts), n), _conditional_bits(counts, n))
             if best is None or key < best[0]:
                 best = (key, name)
@@ -109,14 +112,16 @@ def exhaustive_reducts(view: DiscreteView, decision_labels,
 def entropy_rank(view: DiscreteView, decision_labels) -> list[tuple[str, float]]:
     """Attributes with their information gain H(D) - H(D | attribute), descending.
 
-    Ties keep declaration order.
+    Ties keep declaration order. H(D | attribute) is counted by the greedy's
+    key on the single block, so no partition is built only to be counted.
     """
     names = view.condition_names
     if not names:
         raise DataError("no condition attributes to rank")
-    labels = factorize(decision_labels)
-    h_d = conditional(labels, Partition.single_block(len(labels)))
-    gains = [(name, h_d - conditional(labels, partition_by(view, [name])))
+    labels, whole = factorize(decision_labels), Partition.single_block(view.source.n)
+    h_d = conditional(labels, whole)  # also checks the labels cover the view's universe
+    k, n = int(labels.max()) + 1, whole.n
+    gains = [(name, h_d - _conditional_bits(_counts_by(whole, view.codes_for(name), labels, k), n))
              for name in names]
     gains.sort(key=lambda item: -item[1])  # stable: ties stay in declaration order
     return gains

@@ -7,7 +7,8 @@ sweep's packed-key refinement that ``table.refine`` replaced. The sweep
 oracle rebuilds every level from scratch with the fold instead of refining.
 The reduct and run-evaluation oracles count on the decision's token labels
 and build a separate partition for each metric, or one refined partition
-per greedy candidate. The relabel oracle ranks integer keys with
+per greedy candidate. The ranking oracle builds one partition per attribute
+and takes its conditional entropy. The relabel oracle ranks integer keys with
 ``np.unique`` and orders the ranks by an argsort of their first rows. The granular-entropy
 oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
 CSV loader oracles walk the input row by row and cell by cell, and
@@ -309,6 +310,18 @@ def greedy_reduct_by_refine(view, decision_labels):
             selected = remaining
     return ReductResult(selected, dependency(partition_by(view, selected), labels),
                         gamma_full, trace)
+
+
+def entropy_rank_by_partition(view, decision_labels):
+    """entropy_rank with one partition and one conditional entropy per attribute."""
+    names = view.condition_names
+    if not names:
+        raise DataError("no condition attributes to rank")
+    labels = factorize(decision_labels)
+    h_d = conditional(labels, Partition.single_block(len(labels)))
+    gains = [(name, h_d - conditional(labels, partition_by(view, [name]))) for name in names]
+    gains.sort(key=lambda item: -item[1])
+    return gains
 
 
 def factorize_by_unique(keys):

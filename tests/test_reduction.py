@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +29,8 @@ from granulens import (
 )
 from granulens.table import factorize
 
-from helpers import (greedy_reduct_by_refine, greedy_reduct_two_partitions, random_table,
-                     random_view)
+from helpers import (entropy_rank_by_partition, greedy_reduct_by_refine,
+                     greedy_reduct_two_partitions, random_table, random_view)
 
 
 def toy8_view(toy8):
@@ -222,6 +224,27 @@ def test_one_partition_per_greedy_candidate(monkeypatch):
         assert searched >= 10
 
 
+def test_entropy_rank_counts_without_partitions(monkeypatch):
+    """Each attribute is counted by its codes: no partition is built and only H(D)
+    takes a conditional entropy, unless the count rows pass _DENSE * n and each
+    column is refined."""
+    calls = Counter()
+    for name in ("partition_by", "refine", "conditional"):
+        monkeypatch.setattr(granulens.reduction, name,
+                            lambda *args, fn=getattr(granulens.reduction, name), name=name:
+                            calls.update([name]) or fn(*args))
+    rng = random.Random(11)
+    for dense, refined in ((granulens.reduction._DENSE, 0), (0, 1)):
+        monkeypatch.setattr(granulens.reduction, "_DENSE", dense)
+        for _ in range(10):
+            table = _consistent_table(rng)  # 3 values, 3 classes, 2 rows or more: dense at 8
+            view = discretize(table, GranulationScheme())
+            calls.clear()
+            ranking = entropy_rank(view, table.decision_labels)
+            assert calls == Counter(conditional=1, refine=refined * len(ranking))
+            assert ranking == entropy_rank_by_partition(view, table.decision_labels)
+
+
 def test_one_count_pass_per_greedy_partition(monkeypatch):
     """Each candidate's gamma and H(D|P) come from a single (key x class) count,
     on either scoring path."""
@@ -274,3 +297,22 @@ def test_refine_oracle_tables_take_both_scoring_paths(monkeypatch):
         view = discretize(table, GranulationScheme())
         greedy_reduct(view, table.decision_labels)
     assert seen == {"packed", "refined"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10**9), dense=st.sampled_from([0, 10**9]))
+def test_entropy_rank_matches_partition_oracle(seed, dense):
+    """Same names in the same order with bit-identical gains as one partition per
+    attribute, with every column counted by key and with every column refined first."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        table = _consistent_table(rng, max_attrs=7, values="uvwxyzabcdefghij"[:rng.randint(2, 16)])
+        view = discretize(table, GranulationScheme())
+    else:
+        table = random_table(rng, max_n=24)
+        view = random_view(rng, table, max_bits=6)
+    labels = rng.choice([table.decision_labels, table.decision_codes])
+    with mock.patch.object(granulens.reduction, "_DENSE", dense):
+        ranking = entropy_rank(view, labels)
+    assert ([(name, gain.hex()) for name, gain in ranking]
+            == [(name, gain.hex()) for name, gain in entropy_rank_by_partition(view, labels)])
