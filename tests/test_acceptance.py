@@ -70,7 +70,8 @@ def test_criterion_1_oracle_equivalence():
 
         rep = regions(part, table.decision_labels)
         per_class, positive, boundary, universe = brute_regions(tuples, table.decision_labels)
-        assert set(rep.per_class) == set(per_class)
+        assert list(rep.per_class) == list(per_class)  # first-occurrence class order
+        assert list(rep.negative_by_class) == list(per_class)
         for cls, (lo, up, bn) in per_class.items():
             assert rep.per_class[cls].lower == lo
             assert rep.per_class[cls].upper == up
