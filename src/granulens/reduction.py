@@ -9,7 +9,7 @@ from typing import Sequence
 
 from .errors import DataError
 from .table import _DENSE, DiscreteView, Partition, factorize, partition_by, refine
-from .rough import _class_counts, _label_matrix, _positive_count, dependency
+from .rough import _class_counts, _label_matrix, dependency, region_fractions
 from .entropy import _conditional_bits, conditional
 
 
@@ -69,7 +69,7 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
             if name in selected:
                 continue
             counts = _counts_by(chosen, view.codes_for(name), labels, k)
-            key = (-Fraction(_positive_count(counts), n), _conditional_bits(counts, n))
+            key = (-region_fractions(counts)[0], _conditional_bits(counts, n))
             if best is None or key < best[0]:
                 best = (key, name)
         (neg_gamma, cond_bits), name = best

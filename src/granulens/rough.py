@@ -6,9 +6,9 @@ rational arithmetic; floats appear only in entropy values elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,10 +72,14 @@ def _approximation(block_of: np.ndarray, hits: np.ndarray, sizes: np.ndarray,
     (never for an empty concept: every object's block has size > 0) and in
     the upper one when any is.
     """
-    lower = frozenset(np.flatnonzero((hits == sizes)[block_of]).tolist())
-    upper = frozenset(np.flatnonzero((hits > 0)[block_of]).tolist())
+    lower, upper = _objects(hits == sizes, block_of), _objects(hits > 0, block_of)
     alpha = Fraction(len(lower), len(upper)) if upper else Fraction(1)
     return RoughApproximation(lower, upper, upper - lower, alpha, label=label)
+
+
+def _objects(in_block: np.ndarray, block_of: np.ndarray) -> frozenset:
+    """The objects whose block is marked in ``in_block``: every region set is read this way."""
+    return frozenset(np.flatnonzero(in_block[block_of]).tolist())
 
 
 def _label_matrix(partition: Partition, labels: Sequence) -> np.ndarray:
@@ -100,39 +104,29 @@ def _mixed(counts: np.ndarray) -> np.ndarray:
     return by_class.max(axis=0) < by_class.sum(axis=0)
 
 
-def _positive_count(counts: np.ndarray) -> int:
-    """|POS|: the objects in blocks whose count row holds a single class."""
-    return int(counts.sum() - counts[_mixed(counts)].sum())
-
-
 def region_fractions(counts: np.ndarray) -> tuple[Fraction, Fraction]:
     """(gamma, boundary_fraction) of a (block x class) count matrix, without the region sets."""
-    n, pos = int(counts.sum()), _positive_count(counts)
-    return Fraction(pos, n), Fraction(n - pos, n)
+    n, mixed = int(counts.sum()), int(counts[_mixed(counts)].sum())
+    return Fraction(n - mixed, n), Fraction(mixed, n)
 
 
 def regions(partition: Partition, decision_labels: Sequence) -> RegionReport:
     """Three-region decomposition of U for a total decision.
 
-    The positive region unions all per-class lower approximations; the
-    overall boundary is exactly the set of objects in blocks holding two or
-    more distinct classes. gamma + boundary_fraction = 1 in exact arithmetic.
+    Every set is the objects of the blocks marked in the one (block x class)
+    count: the positive region holds the single-class blocks, the overall
+    boundary the mixed ones, and a class's negative region the blocks with
+    none of it. gamma + boundary_fraction = 1 in exact arithmetic.
     """
-    counts = _label_matrix(partition, decision_labels)
-    classes = list(dict.fromkeys(decision_labels))
-    sizes = counts.sum(axis=1)
-    universe = frozenset(range(partition.n))
-
-    per_class: dict = {}
-    negative_by_class: dict = {}
-    for j, cls in enumerate(classes):
-        per_class[cls] = _approximation(partition.block_of, counts[:, j], sizes, cls)
-        negative_by_class[cls] = universe - per_class[cls].upper
-
-    positive = frozenset().union(*(a.lower for a in per_class.values()))
-    boundary_overall = frozenset().union(*(a.boundary for a in per_class.values()))
-    return RegionReport(per_class, positive, boundary_overall, negative_by_class,
-                        *region_fractions(counts))
+    counts, block_of = _label_matrix(partition, decision_labels), partition.block_of
+    sizes, mixed = counts.sum(axis=1), _mixed(counts)
+    classes = dict.fromkeys(decision_labels)  # first-occurrence order, as JSON keys follow it
+    per_class = {cls: _approximation(block_of, counts[:, j], sizes, cls)
+                 for j, cls in enumerate(classes)}
+    negative_by_class = {cls: _objects(counts[:, j] == 0, block_of)
+                         for j, cls in enumerate(classes)}
+    return RegionReport(per_class, _objects(~mixed, block_of), _objects(mixed, block_of),
+                        negative_by_class, *region_fractions(counts))
 
 
 def dependency(partition: Partition, decision_labels: Sequence) -> Fraction:

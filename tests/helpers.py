@@ -37,7 +37,7 @@ from granulens import (MISSING, AttributeSpec, DataError, EvalReport,
 from granulens.reader import encoded, read_columns
 from granulens.entropy import _conditional_bits
 from granulens.reduction import ReductStep
-from granulens.rough import _label_matrix, _positive_count, region_fractions
+from granulens.rough import _label_matrix, region_fractions
 from granulens.table import factorize, partition_by, refine
 
 
@@ -296,8 +296,7 @@ def greedy_reduct_by_refine(view, decision_labels):
                 continue
             part = refine(chosen, [view.codes_for(name)])
             counts = _label_matrix(part, labels)
-            key = (-Fraction(_positive_count(counts), part.n),
-                   _conditional_bits(counts, part.n))
+            key = (-region_fractions(counts)[0], _conditional_bits(counts, part.n))
             if best is None or key < best[0]:
                 best = (key, name, part)
         (neg_gamma, cond_bits), name, chosen = best
