@@ -1,8 +1,8 @@
 """Shannon, joint, and conditional entropy; granule-wise entropy reports.
 
 Entropy is measured in bits (log base 2) with the 0*log(0) = 0 convention.
-H(D|P) is the correctly rounded sum (math.fsum) of its per-block terms,
-so it does not depend on block numbering, summation order or threads.
+H(D|P) is the correctly rounded sum (math.fsum) of its per-block terms, each summing its class
+terms in ascending order, so block or class numbering, row order and threads cannot move it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _block_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", invalid="ignore"):
         p = counts / sizes[:, None]
         terms = np.where(counts > 0, -p * np.log2(p), 0.0)
-    return sizes, terms.sum(axis=1)
+    return sizes, np.sort(terms, axis=1).sum(axis=1)  # ascending: class order cannot leak
 
 
 def _conditional_bits(counts: np.ndarray, n: int) -> float:

@@ -357,7 +357,7 @@ def granular_entropy_by_dot(partition, labels):
     with np.errstate(divide="ignore", invalid="ignore"):
         p = counts / sizes[:, None]
         terms = np.where(counts > 0, -p * np.log2(p), 0.0)
-    block_h = terms.sum(axis=1)
+    block_h = np.sort(terms, axis=1).sum(axis=1)  # ascending, so class order cannot leak
     weights = sizes / partition.n
     per_block = list(zip(range(partition.block_count), weights.tolist(), block_h.tolist()))
     return per_block, float(np.dot(weights, block_h))

@@ -1,4 +1,4 @@
-"""Row order is not an input: every subcommand on a table and on its row-shuffled copy.
+"""Row order is not an input: the library and every subcommand on a table and its shuffled copy.
 
 Each copy lives in its own directory under the same file names, beside runs
 whose ``object_index`` points at the same objects in that copy's order. The
@@ -9,17 +9,33 @@ object indices back to the first copy and sorting lines and ``per_block``.
 ``inspect`` is left out: the sign of a zero in its observed range follows
 row order.
 
-The decision has at most 2 classes. With 3 or more, a block's entropy sums
-its class terms in the decision's first-occurrence order, so a shuffle can
-move H(D|P) in its last bit.
+The decision has 1 to 4 classes. A shuffle can change the classes'
+first-occurrence order, so a block's entropy must not depend on it: at the
+library level the floats are compared bit for bit.
 """
 
+import dataclasses
 import json
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from granulens import (GranulationScheme, ModelRun, discretize, entropy_rank, evaluate_run,
+                       granular_entropy, greedy_reduct, load_table, partition_by, regions,
+                       sweep)
 from test_cli_readers import COMMANDS, _observe
+
+# The gains of x0 and x1 print equal at 9 decimals; swapping rows 1 and 5, which
+# moves class r behind p in first occurrence, once flipped reduce's ranking of them.
+FLIPPED_RANKING = (
+    [["-3.55", "0", "q"], ["-3.55", "0.25", "r"], ["-2.22", "-2", "q"], ["-3.55", "0", "p"],
+     ["1.94", "0", "q"], ["1.94", "0", "q"], ["3.26", "-2", "q"], ["-2.22", "0.25", "q"],
+     ["3.26", "-2", "r"], ["1.94", "0.25", "r"], ["-2.77", "-2", "q"], ["3.26", "1.5", "q"],
+     ["-3.55", "0", "p"], ["3.26", "-2", "r"], ["1.94", "1.5", "q"], ["-2.22", "0.25", "p"],
+     ["-2.77", "1.5", "q"], ["3.26", "-2", "p"], ["-3.55", "1.5", "p"]],
+    [[(i, "q") for i in range(19)]],
+    [0, 5, 2, 3, 4, 1] + list(range(6, 19)),
+)
 
 
 @st.composite
@@ -37,7 +53,7 @@ def shuffled_inputs(draw):
         pool = pools[kind]
         return rnd.choice(pool) if pool else f"{rnd.uniform(-5, 5):.2f}"
 
-    classes = "pq"[:draw(st.integers(1, 2))]
+    classes = "pqrs"[:draw(st.integers(1, 4))]
     rows = [[cell(kind) for kind in kinds] + [rnd.choice(classes)] for _ in range(n)]
     runs = []
     for _ in range(draw(st.integers(1, 3))):
@@ -89,6 +105,7 @@ def _comparable(args, seen, back):
 
 @settings(max_examples=60, deadline=None)
 @given(shuffled_inputs())
+@example(FLIPPED_RANKING)
 def test_every_command_ignores_row_order(tmp_path_factory, inputs):
     rows, runs, perm = inputs
     names = [f"x{i}" for i in range(len(rows[0]) - 1)] + ["d"]
@@ -104,3 +121,57 @@ def test_every_command_ignores_row_order(tmp_path_factory, inputs):
     for args, a, b in zip(COMMANDS, first, shuffled):
         if args[0] != "inspect":
             assert _comparable(args, a, identity) == _comparable(args, b, perm), args
+
+
+def _exact(value):
+    """``value`` with records as tuples and every float as its hex string, for bitwise ``==``."""
+    if dataclasses.is_dataclass(value):
+        value = dataclasses.astuple(value)
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def _results(rows, runs, names, bits):
+    """Row-order-free results, and the region report, of the library on one copy."""
+    table = load_table("\n".join(",".join(r) for r in [names] + rows) + "\n", "d")
+    attrs = names[:-1]
+    view = discretize(table, GranulationScheme(
+        {a.name: bits for a in table.condition_attributes if a.kind == "numeric"}))
+    part, labels = partition_by(view, attrs), table.decision_labels
+    report = granular_entropy(part, labels)
+    models = [ModelRun(f"run{r}", *[list(col) for col in zip(*sorted(run))][1:])
+              for r, run in enumerate(runs)]
+    return _exact([
+        [report.conditional_bits, report.boundary_fraction, report.class_count,
+         report.normalized_conditional],
+        sweep(table, attrs, 0, 4).points,
+        greedy_reduct(view, labels),
+        entropy_rank(view, labels),
+        [evaluate_run(table, model) for model in models],
+    ]), regions(part, labels)
+
+
+def _mapped(report, back):
+    """The region report's sets as original object indices, keyed by class."""
+    def objects(members):
+        return frozenset(back[i] for i in members)
+    return ({cls: (objects(a.lower), objects(a.upper), objects(a.boundary), a.accuracy_alpha)
+             for cls, a in report.per_class.items()},
+            objects(report.positive), objects(report.boundary_overall),
+            {cls: objects(members) for cls, members in report.negative_by_class.items()},
+            report.gamma, report.boundary_fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_inputs(), st.integers(0, 3))
+@example(FLIPPED_RANKING, 2)
+def test_library_ignores_row_order(inputs, bits):
+    rows, runs, perm = inputs
+    at = {old: new for new, old in enumerate(perm)}
+    names = [f"x{i}" for i in range(len(rows[0]) - 1)] + ["d"]
+    first, a = _results(rows, runs, names, bits)
+    shuffled, b = _results([rows[i] for i in perm],
+                           [[(at[row[0]],) + row[1:] for row in run] for run in runs], names, bits)
+    assert first == shuffled
+    assert _mapped(a, range(len(rows))) == _mapped(b, perm)
