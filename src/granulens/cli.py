@@ -46,16 +46,16 @@ _UNSHOWN = {(RoughApproximation, "label"), (GranularEntropyReport, "counts")}
 
 def _json(value):
     """A record as JSON data: dataclass fields in order, str keys, sorted sets, 9-decimal floats."""
+    if isinstance(value, (float, Fraction)):  # scalars first: most of a large report's values
+        return float(f"{float(value):.9f}")
+    if isinstance(value, (list, tuple)):
+        return [_json(item) for item in value]
     if is_dataclass(value):
         value = {f.name: getattr(value, f.name) for f in fields(value)
                  if (type(value), f.name) not in _UNSHOWN}
     if isinstance(value, dict):
         return {str(key): _json(item) for key, item in value.items()}
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, (list, tuple)):
-        return [_json(item) for item in value]
-    return float(f"{float(value):.9f}") if isinstance(value, (float, Fraction)) else value
+    return sorted(value) if isinstance(value, frozenset) else value
 
 
 def _attrs_list(text: str) -> list[str]:
