@@ -80,41 +80,37 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("table", help="input CSV (header row; empty or '?' = missing)")
         p.add_argument("--decision", required=True, help="decision column name")
+        p.add_argument("--out", help="write the command's report to this path")
         p.set_defaults(func=func)
         return p
 
-    p = table_cmd("inspect", "summarize a table's attributes and decision classes", cmd_inspect)
-    p.add_argument("--out", help="write JSON report to this path")
+    table_cmd("inspect", "summarize a table's attributes and decision classes", cmd_inspect)
 
     p = table_cmd("rough", "lower/upper/boundary approximation report", cmd_rough)
     p.add_argument("--attrs", required=True, help="comma-separated attribute subset")
     p.add_argument("--bits", type=int, default=0, help="bits for numeric attributes")
     p.add_argument("--class", dest="cls", help="single decision class to approximate")
-    p.add_argument("--out", help="write JSON report to this path")
 
     p = table_cmd("entropy", "granule-wise entropy report for one partition", cmd_entropy)
     p.add_argument("--attrs", required=True)
     p.add_argument("--bits", type=int, default=0)
-    p.add_argument("--out", help="write JSON report to this path")
 
     p = table_cmd("sweep", "entropy/boundary curve over a bits range", cmd_sweep)
     p.add_argument("--attrs", required=True)
     p.add_argument("--bits", required=True, type=_bits_range,
                    help="range A..B (or single level)")
-    p.add_argument("--out", help="write curve CSV (or JSON with --format json)")
     p.add_argument("--svg", help="write an SVG chart of the curve")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--format", choices=["csv", "json"], default="csv",
+                   help="what --out holds: the curve as CSV (default) or JSON")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted for compatibility; has no effect")
 
     p = table_cmd("reduce", "greedy attribute reduct and information-gain ranking", cmd_reduce)
     p.add_argument("--bits", type=int, required=True,
                    help="bits level fixing the discrete view reduction runs on")
-    p.add_argument("--out", help="write JSON report to this path")
 
     p = table_cmd("evaluate", "evaluate one model-run CSV against the table", cmd_evaluate)
     p.add_argument("run", help="run CSV: object_index,predicted[,granule]")
-    p.add_argument("--out", help="write JSON report to this path")
 
     p = table_cmd("compare", "rank model runs: accuracy band, then granular metrics", cmd_compare)
     p.add_argument("runs", nargs="+", help="run CSV files")
@@ -123,7 +119,6 @@ def build_parser() -> _Parser:
     p.add_argument("--rank-by", choices=["boundary-first", "entropy-first"],
                    default="boundary-first",
                    help="metric order inside the band (default boundary-first)")
-    p.add_argument("--out", help="write JSON verdict to this path")
     return parser
 
 

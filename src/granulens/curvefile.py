@@ -7,9 +7,10 @@ locale-independent), which is also the precision contract for round-trips.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
-import tempfile
+import stat
 
 from .errors import DataError
 from .reader import convert_cells, encoded, line_of, read_columns
@@ -24,19 +25,25 @@ def fmt(x: float) -> str:
 
 
 def write_atomic(path: str, data: str) -> None:
-    """Write to a sibling temp file, then rename: no partial outputs. An
-    OSError names ``path``, never the temp file, which is removed."""
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
+    """Write to a temp file beside the target, then rename: no partial outputs. As a
+    plain write does, write through a symlink, create a file 0o666 under the umask and
+    keep an existing file's permission bits; refuse a target that is neither a file nor
+    a directory. An OSError names ``path``, never the temp file, which is removed."""
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real), f".granulens-tmp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".granulens-tmp-")
-        with os.fdopen(fd, "w") as fh:
+        mode = os.stat(real).st_mode if os.path.exists(real) else None
+        if mode is not None and stat.S_IFMT(mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            raise OSError(errno.EINVAL, "Not a regular file")
+        with open(tmp, "x") as fh:  # created 0o666 under the umask
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, real)  # onto a directory: [Errno 21] Is a directory
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
 
 

@@ -113,16 +113,18 @@ def load_run(csv_data: bytes | str, table: InformationTable,
             meta = (m.group(2) or "").strip()
         body, skipped = body[len(first):], 1
     scanned = scan(body)
-    read = None
+    values = None
     if scanned is not None:
         header, data, bounds = scanned
         values = _digits(data, *bounds(0))
         coded = [code_fields(data, *bounds(c)) for c in range(1, len(header))]
-        read = None if values is None or None in coded else (values, coded)
-    if read is None:
+        bad = ragged = None
+    if values is None or None in coded:
         header, cells, blanks, ragged = read_columns(body, skipped)
         if header is None:
             raise DataError("empty run file")
+        values, bad = convert_cells(int, cells[0] if cells else [])  # no cells: a blank first line
+        coded = map(_coded, cells[1:])  # once the rows are valid
     header = [h.strip() for h in header]
     if header[:2] != ["object_index", "predicted"]:
         raise DataError("run header must start with object_index,predicted")
@@ -130,12 +132,6 @@ def load_run(csv_data: bytes | str, table: InformationTable,
     if extra:
         raise DataError(f"unexpected run column {extra[0]!r}: "
                         "the header is object_index,predicted[,granule]")
-    if read is not None:
-        values, coded = read
-        bad = ragged = None
-    else:
-        values, bad = convert_cells(int, cells[0])
-        coded = map(_coded, cells[1:])  # once the rows are valid
 
     n = table.n
     try:
@@ -146,9 +142,7 @@ def load_run(csv_data: bytes | str, table: InformationTable,
     valid = int(outside[0]) if len(outside) else len(index)
     if np.bincount(index[:valid], minlength=n).max() > 1:
         _, first = np.unique(index[:valid], return_index=True)
-        repeat = np.ones(valid, dtype=bool)
-        repeat[first] = False
-        raise DataError(f"duplicate object_index {index[repeat.argmax()]}")
+        raise DataError(f"duplicate object_index {index[np.setdiff1d(np.arange(valid), first)[0]]}")
     if valid < len(index):
         raise DataError(f"object_index {values[valid]} out of range 0..{n - 1}")
     if bad is not None:

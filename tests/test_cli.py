@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -247,6 +248,57 @@ class TestOtherCommands:
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["taken", "toy8.csv"]
 
 
+class TestOutputFiles:
+    """--out and --svg write what a plain open(path, "w") would, through a temp file."""
+
+    ARGV = {"sweep": ["--attrs", "a2", "--bits", "0..2"], "reduce": ["--bits", "2"]}
+
+    def _run(self, toy8_file, cmd, flag, target):
+        return run_cli([cmd, str(toy8_file), "--decision", "d", *self.ARGV[cmd], flag, str(target)])
+
+    @pytest.mark.parametrize("cmd, flag", [("sweep", "--out"), ("sweep", "--svg"),
+                                           ("reduce", "--out")])
+    def test_symlink_is_written_through(self, tmp_path, toy8_file, cmd, flag):
+        assert self._run(toy8_file, cmd, flag, tmp_path / "plain") == 0
+        (tmp_path / "target").write_text("old")
+        link = tmp_path / "link"
+        link.symlink_to("target")
+        assert self._run(toy8_file, cmd, flag, link) == 0
+        assert link.is_symlink() and os.readlink(link) == "target"
+        assert (tmp_path / "target").read_bytes() == (tmp_path / "plain").read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_new_file_mode_follows_the_umask(self, tmp_path, toy8_file, umask):
+        old = os.umask(umask)
+        try:
+            assert self._run(toy8_file, "reduce", "--out", tmp_path / "r.json") == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / "r.json").stat().st_mode) == 0o666 & ~umask
+
+    @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
+    def test_existing_file_keeps_its_mode(self, tmp_path, toy8_file, mode):
+        out = tmp_path / "r.json"
+        out.write_text("old")
+        out.chmod(mode)
+        old = os.umask(0o022)
+        try:
+            assert self._run(toy8_file, "reduce", "--out", out) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == mode and out.read_text() != "old"
+
+    @pytest.mark.parametrize("cmd, flag", [("sweep", "--out"), ("sweep", "--svg"),
+                                           ("reduce", "--out")])
+    def test_fifo_target_exit_2(self, tmp_path, toy8_file, capsys, cmd, flag):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        assert self._run(toy8_file, cmd, flag, fifo) == 2
+        assert capsys.readouterr().err == f"error: [Errno 22] Not a regular file: {str(fifo)!r}\n"
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "toy8.csv"]
+
+
 def test_sweep_range_wider_than_dbl_max_splits_under_warnings_as_errors(tmp_path):
     table = tmp_path / "wide.csv"
     table.write_text("a,d\n-1e308,x\n0,y\n1e308,z\n")
@@ -288,7 +340,7 @@ def _cli_argv(draw):
         argv += ["--tolerance", draw(st.sampled_from(
             ["nan", "inf", "-inf", "-nan", "-1", "-1e-3", "0", "0.01"]))]
     for flag in ["--out", "--svg"] if cmd == "sweep" else ["--out"]:
-        target = draw(st.sampled_from([None, "@out", "@taken", "@missing/out"]))
+        target = draw(st.sampled_from([None, "@out", "@taken", "@missing/out", "@link", "@fifo"]))
         argv += [flag, target] if target else []
     return argv
 
@@ -302,6 +354,8 @@ def test_cli_argv_exits_cleanly(tmp_path, toy8_csv, argv):
     (work / "toy8.csv").write_text(toy8_csv)
     (work / "run.csv").write_text(run_csv([[i, i % 2] for i in range(8)]))
     (work / "taken").mkdir()
+    (work / "link").symlink_to("linked")
+    os.mkfifo(work / "fifo")
     argv = [str(work / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -309,6 +363,7 @@ def test_cli_argv_exits_cleanly(tmp_path, toy8_csv, argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert not list(work.rglob(".granulens-tmp-*"))
+    assert (work / "link").is_symlink() and stat.S_ISFIFO((work / "fifo").stat().st_mode)
 
 
 class TestSvg:

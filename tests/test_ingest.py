@@ -1068,10 +1068,18 @@ class TestRunByteReaderPath:
 
     @pytest.mark.parametrize("header, message", [
         (header, f"unexpected run column '{bad}'") for header, bad in UNEXPECTED_COLUMNS] + [
-        (("obj", "predicted"), "run header must start with object_index,predicted")])
-    def test_wrong_header(self, toy8, header, message):
-        got = _run_read_alike(_run_under(header, toy8), toy8, 0)
+        (header, "run header must start with object_index,predicted")
+        for header in [("obj", "predicted"), ("object_index",), ()]])  # (): a blank first line
+    def test_wrong_header(self, toy8, toy8_csv, tmp_path, capsys, header, message):
+        text = _run_under(header, toy8)
+        got = _run_read_alike(text, toy8, int(len(header) < 2))  # scan needs 2 columns
         assert got.startswith(f"DataError: {message}")
+        (tmp_path / "t.csv").write_text(toy8_csv)
+        (tmp_path / "r.csv").write_text(text)
+        assert run_cli(["evaluate", str(tmp_path / "t.csv"), str(tmp_path / "r.csv"),
+                        "--decision", "d"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     @pytest.mark.parametrize("column, value, exact", [
         (1, "", 0), (2, "", 0), (1, "p\u2028x", 0), (2, "g\x85y", 0), (1, "Ω\x7f", 0),
