@@ -271,7 +271,7 @@ def run_cli(argv) -> int:
     try:
         args.func(args, _load(args))
         return 0
-    except (GranulensError, OSError) as exc:
+    except (GranulensError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

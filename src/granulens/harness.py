@@ -195,20 +195,17 @@ def compare_runs(reports: Sequence[EvalReport], tolerance: float = 0.005,
         raise DataError(f"unknown rank_by {rank_by!r}")
     if not math.isfinite(tolerance) or tolerance < 0:
         raise DataError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    best_acc = max(r.accuracy for r in reports)
+    band = max(r.accuracy for r in reports) - tolerance
 
-    def cand_key(r: EvalReport):
+    def key(r: EvalReport):  # False sorts first, so the band's runs lead
+        if r.accuracy < band:
+            return (True, -r.accuracy, r.run_id)
         metrics = ((r.model_boundary_fraction, r.model_conditional_bits)
                    if rank_by == "boundary-first"
                    else (r.model_conditional_bits, r.model_boundary_fraction))
-        return (*metrics, r.block_count, r.run_id)
+        return (False, *metrics, r.block_count, r.run_id)
 
-    candidates = sorted((r for r in reports if r.accuracy >= best_acc - tolerance),
-                        key=cand_key)
-    others = sorted((r for r in reports if r.accuracy < best_acc - tolerance),
-                    key=lambda r: (-r.accuracy, r.run_id))
     ranked = [RankedRun(r.run_id, r.accuracy, r.model_boundary_fraction,
-                        r.model_conditional_bits, r.block_count, in_band)
-              for group, in_band in ((candidates, True), (others, False))
-              for r in group]
-    return ComparisonVerdict(ranked, candidates[0].run_id, tolerance)
+                        r.model_conditional_bits, r.block_count, bool(r.accuracy >= band))
+              for r in sorted(reports, key=key)]
+    return ComparisonVerdict(ranked, ranked[0].run_id, tolerance)

@@ -64,15 +64,13 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     chosen = partition_by(view, selected)
     gamma_cur = dependency(chosen, labels)
     while gamma_cur < gamma_full:
-        best = None
+        scores = {}  # by name, in declaration order: min keeps the first of equal keys
         for name in names:
-            if name in selected:
-                continue
-            counts = _counts_by(chosen, view.codes_for(name), labels, k)
-            key = (-region_fractions(counts)[0], _conditional_bits(counts, n))
-            if best is None or key < best[0]:
-                best = (key, name)
-        (neg_gamma, cond_bits), name = best
+            if name not in selected:
+                counts = _counts_by(chosen, view.codes_for(name), labels, k)
+                scores[name] = (-region_fractions(counts)[0], _conditional_bits(counts, n))
+        name = min(scores, key=scores.get)
+        neg_gamma, cond_bits = scores[name]
         chosen = refine(chosen, [view.codes_for(name)])
         selected.append(name)
         gamma_cur = -neg_gamma

@@ -76,31 +76,24 @@ def sweep(table: InformationTable, attrs: Sequence[str],
     if not (0 <= bits_from <= bits_to <= MAX_BITS):
         raise DataError(f"invalid bits range {bits_from}..{bits_to} "
                         f"(need 0 <= from <= to <= {MAX_BITS})")
-    for name in attrs:
-        table.attribute(name)
-        if name == table.decision:
-            raise DataError("cannot sweep over the decision attribute")
-
-    swept = [a for a in table.attributes if a.name in attrs]
-    categorical = [a.name for a in swept if a.kind == "categorical"]
-    numeric = [a.name for a in swept if a.kind == "numeric"]
-    top = discretize(table, GranulationScheme.uniform(table, bits_to, numeric))
-    top_codes = [top.codes_for(name) for name in numeric]
+    if table.decision in attrs:
+        raise DataError("cannot sweep over the decision attribute")
+    numeric = GranulationScheme.uniform(table, bits_to, attrs)  # checks every name
+    top = discretize(table, numeric)
+    top_codes = [top.codes_for(a.name) for a in table.attributes if a.name in numeric.bits]
 
     # The first level takes whole codes (at most 2**bits_from, the missing
     # bin); every later level adds one bit.
-    part, mask = partition_by(top, categorical), -1
+    part, mask = partition_by(top, [a for a in attrs if a not in numeric.bits]), -1
     points: list[SweepPoint] = []
-    saturated = False
     for b in range(bits_from, bits_to + 1):
         part = refine(part, [(c >> (bits_to - b)) & mask for c in top_codes])
         mask = 1
         points.append(_point_at(part, table.decision_codes, b))
         if part.block_count == table.n:
-            saturated = True
             break
     return SweepCurve(points, tuple(attrs), table_id=table.table_id,
-                      saturated=saturated)
+                      saturated=part.block_count == table.n)
 
 
 def convergence_summary(curve: SweepCurve, tolerance: float = 1e-9) -> ConvergenceSummary:

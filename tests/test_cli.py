@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -196,11 +197,23 @@ class TestOtherCommands:
         assert run_cli(["bogus"]) == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"]] + [
+        [cmd, "--help"]
+        for cmd in ("inspect", "rough", "entropy", "sweep", "reduce", "evaluate", "compare")])
     def test_help_exit_0(self, capsys, argv):
         assert run_cli(argv) == 0
         out, err = capsys.readouterr()
         assert out.startswith("usage: granulens") and err == ""
+
+    def test_allocation_failure_exit_2(self, toy8_file, capsys, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 2.57 GiB for an array")
+
+        monkeypatch.setattr("granulens.cli.granular_entropy", refuse)
+        argv = ["entropy", str(toy8_file), "--decision", "d", "--attrs", "a1,a2"]
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: Unable to allocate 2.57 GiB for an array\n" and out == ""
 
     def test_bad_data_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -400,3 +413,15 @@ class TestSvg:
         assert run_cli(["sweep", str(toy8_file), "--decision", "d", "--attrs", "a2",
                         "--bits", "0..3", "--svg", str(svg)]) == 0
         assert svg.read_text().startswith("<?xml")
+
+
+def test_readme_library_example_runs(monkeypatch):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "regions(part, table.decision_labels).gamma        # Fraction(3, 4)" in example
+    monkeypatch.chdir(root)  # the example's paths are relative to the repo root
+    namespace = {}
+    exec(example, namespace)
+    g = namespace["g"]
+    assert g.regions(namespace["part"], namespace["table"].decision_labels).gamma == Fraction(3, 4)

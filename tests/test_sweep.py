@@ -65,6 +65,8 @@ class TestSweep:
             sweep(toy8, ["nope"], 0, 2)
         with pytest.raises(DataError, match="cannot sweep over the decision attribute"):
             sweep(toy8, ["a2", "d"], 0, 2)
+        with pytest.raises(DataError, match="cannot sweep over the decision attribute"):
+            sweep(toy8, ["nope", "d"], 0, 2)  # checked before the names
 
     def test_empty_attrs_single_block_baseline(self, toy8):
         curve = sweep(toy8, [], 0, 2)
