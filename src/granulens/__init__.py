@@ -27,6 +27,7 @@ from .entropy import (
     joint,
     conditional,
     granular_entropy,
+    per_block,
 )
 from .sweep import SweepPoint, SweepCurve, ConvergenceSummary, sweep, convergence_summary
 from .reduction import ReductResult, greedy_reduct, exhaustive_reducts, entropy_rank

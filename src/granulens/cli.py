@@ -17,8 +17,8 @@ from pathlib import Path
 
 from .errors import GranulensError
 from .table import load_table, discretize, partition_by, GranulationScheme
-from .rough import approximate, regions, ConceptSet, RoughApproximation
-from .entropy import granular_entropy, GranularEntropyReport
+from .rough import approximate, regions, ConceptSet
+from .entropy import granular_entropy, per_block
 from .sweep import sweep, convergence_summary
 from .reduction import greedy_reduct, entropy_rank
 from .harness import load_run, evaluate_run, compare_runs
@@ -40,10 +40,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-#: fields no report shows: an approximation's class is its key, and per_block shows the counts
-_UNSHOWN = {(RoughApproximation, "label"), (GranularEntropyReport, "counts")}
-
-
 def _json(value):
     """A record as JSON data: dataclass fields in order, str keys, sorted sets, 9-decimal floats."""
     if isinstance(value, (float, Fraction)):  # scalars first: most of a large report's values
@@ -51,8 +47,7 @@ def _json(value):
     if isinstance(value, (list, tuple)):
         return [_json(item) for item in value]
     if is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in fields(value)
-                 if (type(value), f.name) not in _UNSHOWN}
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
     if isinstance(value, dict):
         return {str(key): _json(item) for key, item in value.items()}
     return sorted(value) if isinstance(value, frozenset) else value
@@ -122,13 +117,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:  # by its given name: as a Path, '' would be the directory '.'
+        return fh.read()
+
+
 def _load(args):
-    path = Path(args.table)
-    return load_table(path.read_bytes(), args.decision, table_id=path.name)
+    return load_table(_read(args.table), args.decision, table_id=Path(args.table).name)
 
 
 def _emit_json(args, payload) -> None:
-    if args.out:
+    if args.out is not None:
         write_atomic(args.out, json.dumps(payload, indent=2) + "\n")
 
 
@@ -161,7 +160,7 @@ def cmd_rough(args, table) -> None:
     labels = table.decision_labels
     if args.cls is not None:
         members = frozenset(i for i, v in enumerate(labels) if str(v) == args.cls)
-        approx = approximate(part, ConceptSet(members, table.n, label=args.cls))
+        approx = approximate(part, ConceptSet(members, table.n))
         print(f"class {args.cls!r} under attrs={','.join(attrs) or '(none)'} "
               f"bits={args.bits}: |lower|={len(approx.lower)} "
               f"|upper|={len(approx.upper)} |boundary|={len(approx.boundary)} "
@@ -189,7 +188,7 @@ def cmd_entropy(args, table) -> None:
           f"conditional_bits={fmt(rep.conditional_bits)} "
           f"boundary_fraction={fmt(float(rep.boundary_fraction))} "
           f"normalized={fmt(rep.normalized_conditional)}")
-    _emit_json(args, {"per_block": _json(rep.per_block), **_json(rep)})
+    _emit_json(args, {"per_block": _json(per_block(part, table.decision_codes)), **_json(rep)})
 
 
 def cmd_sweep(args, table) -> None:
@@ -208,9 +207,9 @@ def cmd_sweep(args, table) -> None:
           f"terminal BF={fmt(summary.terminal_boundary)}")
     if args.format == "json":
         _emit_json(args, _json(curve.points))
-    elif args.out:
+    elif args.out is not None:
         write_curve(curve, args.out)
-    if args.svg:
+    if args.svg is not None:
         emit_svg(curve, args.svg)
 
 
@@ -231,9 +230,7 @@ def cmd_reduce(args, table) -> None:
 
 
 def _evaluate_file(table, path: str):
-    p = Path(path)
-    run = load_run(p.read_bytes(), table, run_id=p.stem)
-    return evaluate_run(table, run)
+    return evaluate_run(table, load_run(_read(path), table, run_id=Path(path).stem))
 
 
 def cmd_evaluate(args, table) -> None:

@@ -6,9 +6,7 @@ locale-independent), which is also the precision contract for round-trips.
 
 from __future__ import annotations
 
-import csv
 import errno
-import io
 import os
 import stat
 
@@ -28,7 +26,9 @@ def write_atomic(path: str, data: str) -> None:
     """Write to a temp file beside the target, then rename: no partial outputs. As a
     plain write does, write through a symlink, create a file 0o666 under the umask and
     keep an existing file's permission bits; refuse a target that is neither a file nor
-    a directory. An OSError names ``path``, never the temp file, which is removed."""
+    a directory, or ''. An OSError names ``path``, never the temp file, which is removed."""
+    if not path:  # as open('') does: realpath('') would be the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     real = os.path.realpath(path)
     tmp = os.path.join(os.path.dirname(real), f".granulens-tmp-{os.urandom(8).hex()}")
     try:
@@ -48,14 +48,10 @@ def write_atomic(path: str, data: str) -> None:
 
 
 def curve_to_csv(curve: SweepCurve) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CURVE_HEADER)
-    for p in curve.points:
-        writer.writerow([p.bits_level, p.block_count, fmt(p.conditional_bits),
-                         fmt(p.normalized_conditional), fmt(p.boundary_fraction),
-                         fmt(p.gamma)])
-    return buf.getvalue()
+    return ",".join(CURVE_HEADER) + "\n" + "".join(  # no field of a curve needs CSV quoting
+        f"{p.bits_level},{p.block_count},{fmt(p.conditional_bits)},"
+        f"{fmt(p.normalized_conditional)},{fmt(p.boundary_fraction)},{fmt(p.gamma)}\n"
+        for p in curve.points)
 
 
 def write_curve(curve: SweepCurve, path: str) -> None:

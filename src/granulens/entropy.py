@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,18 +81,6 @@ class GranularEntropyReport:
     boundary_fraction: Fraction
     class_count: int
     normalized_conditional: float
-    counts: np.ndarray = field(repr=False, compare=False)  # (block x class) counts
-
-    @cached_property
-    def per_block(self) -> list:
-        """(block id, weight |B|/|U|, block entropy in bits) per block, built on first read."""
-        sizes, block_h = _block_entropies(self.counts)
-        return list(zip(range(len(sizes)), (sizes / sizes.sum()).tolist(), block_h.tolist()))
-
-    def __eq__(self, other):  # per_block takes part: block numbering matters
-        key = lambda r: (r.per_block, r.conditional_bits, r.boundary_fraction,
-                         r.class_count, r.normalized_conditional)
-        return isinstance(other, GranularEntropyReport) and key(self) == key(other)
 
 
 def granular_entropy(partition: Partition, decision_labels: Sequence) -> GranularEntropyReport:
@@ -104,9 +91,14 @@ def granular_entropy(partition: Partition, decision_labels: Sequence) -> Granula
     together, which ties the entropy channel to the boundary region.
     """
     counts = _label_matrix(partition, decision_labels)
-    counts.flags.writeable = False  # per_block is built from it on first read
     k = counts.shape[1]
     conditional_bits = _conditional_bits(counts, partition.n)
     _, boundary_fraction = region_fractions(counts)
     normalized = conditional_bits / math.log2(k) if k >= 2 else 0.0
-    return GranularEntropyReport(conditional_bits, boundary_fraction, k, normalized, counts)
+    return GranularEntropyReport(conditional_bits, boundary_fraction, k, normalized)
+
+
+def per_block(partition: Partition, decision_labels: Sequence) -> list:
+    """(block id, weight |B|/|U|, block entropy in bits) per block of the partition."""
+    sizes, block_h = _block_entropies(_label_matrix(partition, decision_labels))
+    return list(zip(range(len(sizes)), (sizes / sizes.sum()).tolist(), block_h.tolist()))

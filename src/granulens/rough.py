@@ -22,7 +22,6 @@ class ConceptSet:
 
     members: frozenset[int]
     universe_size: int
-    label: object = None
 
     def __post_init__(self):
         if self.members and not all(0 <= i < self.universe_size for i in self.members):
@@ -35,7 +34,6 @@ class RoughApproximation:
     upper: frozenset[int]
     boundary: frozenset[int]
     accuracy_alpha: Fraction
-    label: object = None
 
 
 @dataclass(frozen=True)
@@ -61,11 +59,11 @@ def approximate(partition: Partition, concept: ConceptSet) -> RoughApproximation
     member = np.zeros(partition.n, dtype=np.int64)
     member[list(concept.members)] = 1
     counts = _class_counts(partition.block_of, partition.block_count, member, 2)
-    return _approximation(partition.block_of, counts[:, 1], counts.sum(axis=1), concept.label)
+    return _approximation(partition.block_of, counts[:, 1], counts.sum(axis=1))
 
 
-def _approximation(block_of: np.ndarray, hits: np.ndarray, sizes: np.ndarray,
-                   label) -> RoughApproximation:
+def _approximation(block_of: np.ndarray, hits: np.ndarray,
+                   sizes: np.ndarray) -> RoughApproximation:
     """Approximation of the concept that ``hits[b]`` objects of each block b belong to.
 
     A block is in the lower approximation when all its objects are hits
@@ -74,7 +72,7 @@ def _approximation(block_of: np.ndarray, hits: np.ndarray, sizes: np.ndarray,
     """
     lower, upper = _objects(hits == sizes, block_of), _objects(hits > 0, block_of)
     alpha = Fraction(len(lower), len(upper)) if upper else Fraction(1)
-    return RoughApproximation(lower, upper, upper - lower, alpha, label=label)
+    return RoughApproximation(lower, upper, upper - lower, alpha)
 
 
 def _objects(in_block: np.ndarray, block_of: np.ndarray) -> frozenset:
@@ -121,7 +119,7 @@ def regions(partition: Partition, decision_labels: Sequence) -> RegionReport:
     counts, block_of = _label_matrix(partition, decision_labels), partition.block_of
     sizes, mixed = counts.sum(axis=1), _mixed(counts)
     classes = dict.fromkeys(decision_labels)  # first-occurrence order, as JSON keys follow it
-    per_class = {cls: _approximation(block_of, counts[:, j], sizes, cls)
+    per_class = {cls: _approximation(block_of, counts[:, j], sizes)
                  for j, cls in enumerate(classes)}
     negative_by_class = {cls: _objects(counts[:, j] == 0, block_of)
                          for j, cls in enumerate(classes)}

@@ -8,7 +8,7 @@ so the sweep stops early and flags the curve as saturated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,20 +38,16 @@ class SweepCurve:
     table_id: str = ""
     saturated: bool = False
 
+    def level_where_boundary_below(self, threshold: float) -> int | None:
+        """First bits level whose boundary fraction is <= threshold, if any."""
+        return next((p.bits_level for p in self.points if p.boundary_fraction <= threshold), None)
+
 
 @dataclass(frozen=True)
 class ConvergenceSummary:
     monotonicity_violations: int
     terminal_entropy: float
     terminal_boundary: float
-    _boundaries: tuple = field(default=(), repr=False)
-
-    def level_where_boundary_below(self, threshold: float) -> int | None:
-        """First bits level whose boundary fraction is <= threshold, if any."""
-        for bits, bf in self._boundaries:
-            if bf <= threshold:
-                return bits
-        return None
 
 
 def _point_at(partition: Partition, decision_codes: np.ndarray, bits: int) -> SweepPoint:
@@ -106,8 +102,4 @@ def convergence_summary(curve: SweepCurve, tolerance: float = 1e-9) -> Convergen
                 or cur.boundary_fraction > prev.boundary_fraction + tolerance):
             violations += 1
     last = curve.points[-1]
-    return ConvergenceSummary(
-        monotonicity_violations=violations,
-        terminal_entropy=last.conditional_bits,
-        terminal_boundary=last.boundary_fraction,
-        _boundaries=tuple((p.bits_level, p.boundary_fraction) for p in curve.points))
+    return ConvergenceSummary(violations, last.conditional_bits, last.boundary_fraction)

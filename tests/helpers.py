@@ -588,11 +588,12 @@ def _approx_payload(a):
             "boundary": sorted(a.boundary), "accuracy_alpha": _r9(a.accuracy_alpha)}
 
 
-def payload_by_hand(record, ranking=None):
+def payload_by_hand(record, listed=None):
     """The JSON payload of a report record, its fields listed by hand: rough
     regions, one class's approximation (without its "class" key), granular
-    entropy, a reduct with its entropy ranking, or a list of records (sweep
-    points, a compare ranking); any other record as ``_rounded``."""
+    entropy with its ``per_block`` list, a reduct with its entropy ranking, or a
+    list of records (sweep points, a compare ranking); any other record as
+    ``_rounded``. ``listed`` is the per_block list or the ranking."""
     if isinstance(record, RoughApproximation):
         return _approx_payload(record)
     if isinstance(record, RegionReport):
@@ -605,11 +606,14 @@ def payload_by_hand(record, ranking=None):
             "gamma": _r9(record.gamma),
             "boundary_fraction": _r9(record.boundary_fraction)}
     if isinstance(record, GranularEntropyReport):
-        return {"per_block": [[b, _r9(w), _r9(h)] for b, w, h in record.per_block],
-                **{k: v for k, v in _rounded(record).items() if k != "counts"}}
+        return {"per_block": [[b, _r9(w), _r9(h)] for b, w, h in listed],
+                "conditional_bits": _r9(record.conditional_bits),
+                "boundary_fraction": _r9(record.boundary_fraction),
+                "class_count": record.class_count,
+                "normalized_conditional": _r9(record.normalized_conditional)}
     if isinstance(record, ReductResult):
         return {**_rounded(record), "trace": [_rounded(step) for step in record.trace],
-                "entropy_rank": [[name, _r9(gain)] for name, gain in ranking]}
+                "entropy_rank": [[name, _r9(gain)] for name, gain in listed]}
     if isinstance(record, list):
         return [_rounded(r) for r in record]
     return _rounded(record)

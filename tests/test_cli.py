@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -15,11 +16,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import granulens
 
-from granulens import (ConceptSet, InformationTable, ModelRun, approximate, compare_runs,
-                       emit_svg, entropy_rank, evaluate_run, granular_entropy, greedy_reduct,
-                       load_table, partition_by, read_curve, regions, sweep)
+from granulens import (ConceptSet, EvalReport, GranularEntropyReport, InformationTable,
+                       ModelRun, ReductResult, RegionReport, RoughApproximation, SweepPoint,
+                       approximate, compare_runs, emit_svg, entropy_rank, evaluate_run,
+                       granular_entropy, greedy_reduct, load_table, partition_by, per_block,
+                       read_curve, regions, sweep)
 from granulens.cli import _json, run_cli
-from granulens.curvefile import fmt
+from granulens.curvefile import fmt, write_atomic
+from granulens.harness import RankedRun
+from granulens.reduction import ReductStep
 
 from helpers import (payload_by_hand, random_attr_subset, random_table, random_view,
                      run_csv)
@@ -137,8 +142,9 @@ def test_json_matches_payloads_by_hand(seed):
         part = partition_by(view, attrs)
         regs, cls = regions(part, labels), rng.choice(labels)
         approx = approximate(part, ConceptSet(
-            frozenset(i for i, v in enumerate(labels) if v == cls), table.n, label=cls))
+            frozenset(i for i, v in enumerate(labels) if v == cls), table.n))
         rep = granular_entropy(part, table.decision_codes)
+        blocks = per_block(part, table.decision_codes)
         result = greedy_reduct(view, table.decision_codes)
         ranking = entropy_rank(view, table.decision_codes)
         points = sweep(table, attrs, 0, rng.randint(0, 4)).points
@@ -149,7 +155,7 @@ def test_json_matches_payloads_by_hand(seed):
         ranked = compare_runs(reports, tolerance=rng.choice([0.0, 0.2])).ranked
         pairs = [(_json(regs), payload_by_hand(regs)),
                  (_json(approx), payload_by_hand(approx)),
-                 ({"per_block": _json(rep.per_block), **_json(rep)}, payload_by_hand(rep)),
+                 ({"per_block": _json(blocks), **_json(rep)}, payload_by_hand(rep, blocks)),
                  ({**_json(result), "entropy_rank": _json(ranking)},
                   payload_by_hand(result, ranking)),
                  (_json(points), payload_by_hand(points)),
@@ -312,6 +318,95 @@ class TestOutputFiles:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "toy8.csv"]
 
 
+def _names(record) -> list:
+    return [f.name for f in fields(record)]
+
+
+@pytest.mark.parametrize("argv, keys, inner", [
+    (["rough", "--attrs", "a1"], _names(RegionReport),
+     (lambda p: p["per_class"].values(), RoughApproximation)),
+    (["rough", "--attrs", "a1", "--class", "1"], ["class", *_names(RoughApproximation)], None),
+    (["entropy", "--attrs", "a1"], ["per_block", *_names(GranularEntropyReport)], None),
+    (["sweep", "--attrs", "a2", "--bits", "0..3", "--format", "json"], None,
+     (lambda p: p, SweepPoint)),
+    (["reduce", "--bits", "3"], [*_names(ReductResult), "entropy_rank"],
+     (lambda p: p["trace"], ReductStep)),
+    (["evaluate", "@run.csv"], _names(EvalReport), None),
+    (["compare", "@run.csv", "@memo.csv"], ["selected", "tolerance_used", "ranked"],
+     (lambda p: p["ranked"], RankedRun)),
+], ids=["rough", "rough-class", "entropy", "sweep", "reduce", "evaluate", "compare"])
+def test_report_keys_are_record_fields(tmp_path, toy8_file, toy8, argv, keys, inner):
+    """An --out report is its record's fields in order, plus only the documented
+    extras; ``keys`` None is a list of records. ``inner`` says where a report's
+    nested records sit and their type."""
+    for name in ("run.csv", "memo.csv"):
+        (tmp_path / name).write_text(run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]))
+    out = tmp_path / "report.json"
+    paths = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv[1:]]
+    assert run_cli([argv[0], str(toy8_file), *paths, "--decision", "d", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    if keys is not None:
+        assert list(payload) == keys
+    if inner is not None:
+        where, record = inner
+        nested = list(where(payload))
+        assert nested and all(list(item) == _names(record) for item in nested)
+
+
+class TestEmptyPath:
+    """An empty path fails as open('') does, and nothing is created in the working
+    directory or its parent: as a Path, '' would be the directory '.'."""
+
+    ARGV = {"inspect": [], "rough": ["--attrs", "a1"], "entropy": ["--attrs", "a1"],
+            "sweep": ["--attrs", "a2", "--bits", "0..2"], "reduce": ["--bits", "2"],
+            "evaluate": ["@run.csv"], "compare": ["@run.csv", "@run.csv"]}
+    ERROR = "error: [Errno 2] No such file or directory: ''\n"
+
+    @pytest.fixture
+    def here(self, tmp_path, toy8_file, toy8, monkeypatch):
+        """Runs from tmp_path/here, beside toy8.csv and run.csv; yields how to run a command."""
+        (tmp_path / "run.csv").write_text(
+            run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]))
+        (tmp_path / "here").mkdir()
+        monkeypatch.chdir(tmp_path / "here")
+
+        def run(cmd, table, *args):
+            args = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in args]
+            return run_cli([cmd, table, *args, "--decision", "d"])
+        yield run
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["here", "run.csv", "toy8.csv"]
+
+    @pytest.mark.parametrize("cmd, extra", [
+        *[(cmd, []) for cmd in ARGV], ("rough", ["--class", "1"]),
+        ("sweep", ["--format", "json"])])
+    def test_out(self, here, toy8_file, capsys, cmd, extra):
+        assert here(cmd, str(toy8_file), *self.ARGV[cmd], *extra, "--out", "") == 2
+        assert capsys.readouterr().err == self.ERROR
+
+    def test_svg(self, here, toy8_file, capsys):
+        assert here("sweep", str(toy8_file), *self.ARGV["sweep"], "--svg", "") == 2
+        assert capsys.readouterr().err == self.ERROR
+
+    @pytest.mark.parametrize("cmd", list(ARGV))
+    def test_table(self, here, capsys, cmd):
+        assert here(cmd, "", *self.ARGV[cmd]) == 2
+        assert capsys.readouterr().err == self.ERROR
+
+    @pytest.mark.parametrize("cmd, runs", [("evaluate", [""]), ("compare", ["@run.csv", ""])])
+    def test_run(self, here, toy8_file, capsys, cmd, runs):
+        assert here(cmd, str(toy8_file), *runs) == 2
+        assert capsys.readouterr().err == self.ERROR
+
+
+def test_write_atomic_refuses_an_empty_path(tmp_path, monkeypatch):
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    with pytest.raises(FileNotFoundError) as info:
+        write_atomic("", "data")
+    assert str(info.value) == "[Errno 2] No such file or directory: ''"
+    assert [p.name for p in tmp_path.rglob("*")] == ["here"]
+
+
 def test_sweep_range_wider_than_dbl_max_splits_under_warnings_as_errors(tmp_path):
     table = tmp_path / "wide.csv"
     table.write_text("a,d\n-1e308,x\n0,y\n1e308,z\n")
@@ -333,11 +428,13 @@ _BITS = st.sampled_from(["-1", "-70", "0", "2", "62", "63", str(2**64 + 1)])
 @st.composite
 def _cli_argv(draw):
     """One argv for a subcommand, often with a value the command must refuse.
-    A path starting with "@" names an entry of the example's own directory."""
+    A path starting with "@" names an entry of the example's own directory;
+    "@" alone is the empty path."""
     cmd = draw(st.sampled_from(["inspect", "rough", "entropy", "sweep", "reduce",
                                 "evaluate", "compare"]))
-    argv = [cmd, "@toy8.csv"] + {"evaluate": ["@run.csv"],
-                                 "compare": ["@run.csv", "@run.csv"]}.get(cmd, [])
+    table, run = (st.sampled_from([name] * 4 + ["@"]) for name in ("@toy8.csv", "@run.csv"))
+    argv = [cmd, draw(table)] + {"evaluate": [draw(run)],
+                                 "compare": [draw(run), draw(run)]}.get(cmd, [])
     argv += ["--decision", draw(st.just("d") | _NAMES)]
     if cmd in ("rough", "entropy", "sweep"):
         argv += ["--attrs", ",".join(draw(st.lists(_NAMES, max_size=3)))]
@@ -353,7 +450,8 @@ def _cli_argv(draw):
         argv += ["--tolerance", draw(st.sampled_from(
             ["nan", "inf", "-inf", "-nan", "-1", "-1e-3", "0", "0.01"]))]
     for flag in ["--out", "--svg"] if cmd == "sweep" else ["--out"]:
-        target = draw(st.sampled_from([None, "@out", "@taken", "@missing/out", "@link", "@fifo"]))
+        target = draw(st.sampled_from([None, "@out", "@taken", "@missing/out", "@link", "@fifo",
+                                       "@"]))
         argv += [flag, target] if target else []
     return argv
 
@@ -362,20 +460,28 @@ def _cli_argv(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=_cli_argv())
 def test_cli_argv_exits_cleanly(tmp_path, toy8_csv, argv):
-    """Any argv of the grammar exits 0, 1 or 2, with no traceback and no temp file left."""
+    """Any argv of the grammar exits 0, 1 or 2, with no traceback and no temp file
+    left; one naming an empty path fails, leaving the working directory empty."""
     work = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
     (work / "toy8.csv").write_text(toy8_csv)
     (work / "run.csv").write_text(run_csv([[i, i % 2] for i in range(8)]))
     (work / "taken").mkdir()
     (work / "link").symlink_to("linked")
     os.mkfifo(work / "fifo")
-    argv = [str(work / a[1:]) if a.startswith("@") else a for a in argv]
+    (work / "here").mkdir()
+    empty = "@" in argv
+    argv = ["" if a == "@" else str(work / a[1:]) if a.startswith("@") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_cli(argv)
-    assert code in (0, 1, 2)
+    cwd = os.getcwd()
+    os.chdir(work / "here")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in ((1, 2) if empty else (0, 1, 2))
     assert "Traceback" not in err.getvalue()
-    assert not list(work.rglob(".granulens-tmp-*"))
+    assert not list(work.rglob(".granulens-tmp-*")) and not list((work / "here").iterdir())
     assert (work / "link").is_symlink() and stat.S_ISFIFO((work / "fifo").stat().st_mode)
 
 

@@ -37,7 +37,7 @@ def toy8_partition(toy8):
 class TestApproximate:
     def test_toy8_class1(self, toy8):
         part = toy8_partition(toy8)
-        concept = ConceptSet(frozenset({3, 4, 5, 6, 7}), 8, label="1")
+        concept = ConceptSet(frozenset({3, 4, 5, 6, 7}), 8)
         approx = approximate(part, concept)
         assert approx.lower == frozenset({4, 5, 6, 7})
         assert approx.upper == frozenset({2, 3, 4, 5, 6, 7})

@@ -100,11 +100,12 @@ class TestSweep:
 
 class TestConvergenceSummary:
     def test_toy8(self, toy8):
-        summary = convergence_summary(sweep(toy8, ["a2"], 0, 3))
+        curve = sweep(toy8, ["a2"], 0, 3)
+        summary = convergence_summary(curve)
         assert summary.monotonicity_violations == 0
         assert summary.terminal_entropy == 0.0
         assert summary.terminal_boundary == 0.0
-        assert summary.level_where_boundary_below(0.3) == 2
+        assert curve.level_where_boundary_below(0.3) == 2
 
     def test_single_point(self, toy8):
         summary = convergence_summary(sweep(toy8, ["a2"], 1, 1))
@@ -124,8 +125,8 @@ class TestConvergenceSummary:
             convergence_summary(SweepCurve([], ()))
 
     def test_never_below_threshold(self, toy8):
-        summary = convergence_summary(sweep(toy8, ["a2"], 0, 0))
-        assert summary.level_where_boundary_below(0.5) is None
+        curve = sweep(toy8, ["a2"], 0, 0)
+        assert curve.level_where_boundary_below(0.5) is None
 
 
 @settings(max_examples=40, deadline=None)
