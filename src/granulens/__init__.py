@@ -1,5 +1,13 @@
 """granulens: granular data analysis via rough sets and Shannon entropy."""
 
+import os
+import sys
+
+# The CLI's own process makes no BLAS call, so it starts no OpenBLAS threads unless told to.
+if (sys.orig_argv[-len(sys.argv):][:1] == ["granulens.cli"]  # python -m granulens.cli
+        or os.path.basename((sys.argv or [""])[0]) == "granulens"):  # the console script
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # numpy, imported below, reads it once
+
 from .errors import GranulensError, DataError, UniverseMismatchError
 from .table import (
     MISSING,

@@ -126,9 +126,9 @@ def _load(args):
     return load_table(_read(args.table), args.decision, table_id=Path(args.table).name)
 
 
-def _emit_json(args, payload) -> None:
+def _emit_json(args, payload) -> None:  # payload() is built only when --out is given
     if args.out is not None:
-        write_atomic(args.out, json.dumps(payload, indent=2) + "\n")
+        write_atomic(args.out, json.dumps(payload(), indent=2) + "\n")
 
 
 def cmd_inspect(args, table) -> None:
@@ -143,10 +143,9 @@ def cmd_inspect(args, table) -> None:
         if a.name == table.decision:
             line += " (decision)"
         print(line)
-    _emit_json(args, {"table_id": table.table_id, "n": table.n,
-                      "decision": table.decision,
-                      "classes": [str(c) for c in classes],
-                      "attributes": [asdict(a) for a in table.attributes]})
+    _emit_json(args, lambda: {"table_id": table.table_id, "n": table.n, "decision": table.decision,
+                              "classes": [str(c) for c in classes],
+                              "attributes": [asdict(a) for a in table.attributes]})
 
 
 def _partition_for(args, table):
@@ -167,7 +166,7 @@ def cmd_rough(args, table) -> None:
               f"alpha={fmt(float(approx.accuracy_alpha))}")
         print(f"  lower={sorted(approx.lower)}")
         print(f"  boundary={sorted(approx.boundary)}")
-        _emit_json(args, {"class": args.cls, **_json(approx)})
+        _emit_json(args, lambda: {"class": args.cls, **_json(approx)})
     else:
         rep = regions(part, labels)
         print(f"regions under attrs={','.join(attrs) or '(none)'} bits={args.bits}: "
@@ -177,7 +176,7 @@ def cmd_rough(args, table) -> None:
             print(f"  class {cls!r}: |lower|={len(approx.lower)} "
                   f"|boundary|={len(approx.boundary)} "
                   f"alpha={fmt(float(approx.accuracy_alpha))}")
-        _emit_json(args, _json(rep))
+        _emit_json(args, lambda: _json(rep))
 
 
 def cmd_entropy(args, table) -> None:
@@ -188,7 +187,8 @@ def cmd_entropy(args, table) -> None:
           f"conditional_bits={fmt(rep.conditional_bits)} "
           f"boundary_fraction={fmt(float(rep.boundary_fraction))} "
           f"normalized={fmt(rep.normalized_conditional)}")
-    _emit_json(args, {"per_block": _json(per_block(part, table.decision_codes)), **_json(rep)})
+    _emit_json(args, lambda: {"per_block": _json(per_block(part, table.decision_codes)),
+                              **_json(rep)})
 
 
 def cmd_sweep(args, table) -> None:
@@ -206,7 +206,7 @@ def cmd_sweep(args, table) -> None:
           f"terminal H={fmt(summary.terminal_entropy)} "
           f"terminal BF={fmt(summary.terminal_boundary)}")
     if args.format == "json":
-        _emit_json(args, _json(curve.points))
+        _emit_json(args, lambda: _json(curve.points))
     elif args.out is not None:
         write_curve(curve, args.out)
     if args.svg is not None:
@@ -226,7 +226,7 @@ def cmd_reduce(args, table) -> None:
     print("information gain ranking:")
     for name, gain in ranking:
         print(f"  {name}: {fmt(gain)}")
-    _emit_json(args, {**_json(result), "entropy_rank": _json(ranking)})
+    _emit_json(args, lambda: {**_json(result), "entropy_rank": _json(ranking)})
 
 
 def _evaluate_file(table, path: str):
@@ -241,7 +241,7 @@ def cmd_evaluate(args, table) -> None:
           f"blocks={rep.block_count}"
           + (" (fallback: predicted-label partition)"
              if rep.used_fallback_partition else ""))
-    _emit_json(args, _json(rep))
+    _emit_json(args, lambda: _json(rep))
 
 
 def cmd_compare(args, table) -> None:
@@ -252,8 +252,8 @@ def cmd_compare(args, table) -> None:
         band = "in band" if r.candidate else "outside band"
         print(f"  {r.run_id}: acc={fmt(r.accuracy)} BF={fmt(r.boundary_fraction)} "
               f"H={fmt(r.conditional_bits)} blocks={r.block_count} ({band})")
-    _emit_json(args, {"selected": verdict.selected, "tolerance_used": verdict.tolerance_used,
-                      "ranked": _json(verdict.ranked)})
+    _emit_json(args, lambda: dict(selected=verdict.selected, tolerance_used=verdict.tolerance_used,
+                                  ranked=_json(verdict.ranked)))
 
 
 def run_cli(argv) -> int:

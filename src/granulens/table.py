@@ -12,7 +12,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -422,13 +421,6 @@ class Partition:
         self.block_of = np.asarray(block_of, dtype=np.int64)
         self.n = len(self.block_of)
         self.block_count = int(self.block_of.max()) + 1 if self.n else 0
-
-    @cached_property
-    def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for i, b in enumerate(self.block_of.tolist()):
-            out[b].append(i)
-        return out
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self lies within a single block of other."""

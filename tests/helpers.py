@@ -157,6 +157,14 @@ def random_sweep_table(rng: random.Random, max_n=40, max_attrs=6, max_classes=3)
     return load_table(buf.getvalue(), "d", schema_hints=hints)
 
 
+def blocks_of(partition):
+    """The objects of each block of ``partition``, blocks in id order, objects ascending."""
+    out = [[] for _ in range(partition.block_count)]
+    for i, b in enumerate(partition.block_of.tolist()):
+        out[b].append(i)
+    return out
+
+
 def refine_by_fold(partition, columns):
     """Split the blocks of ``partition`` by one ``np.unique`` over each column in turn."""
     ids = partition.block_of

@@ -4,15 +4,25 @@ Each case runs through ``run_cli`` in a fresh directory and is compared on
 its exit code, the sha256 of its stdout and the sha256 of every file it
 writes. The digests were recorded before the code they guard last changed;
 a mismatch is a behaviour change to explain, not a digest to update.
+
+Each case also runs as its own ``python -m granulens.cli`` process with
+OPENBLAS_NUM_THREADS unset, so the CLI's default of one BLAS thread applies
+there, while the in-process run keeps the test process's thread count.
+Without ``--out``, each case must print the same without building its report.
 """
 
 import contextlib
 import csv
 import hashlib
 import io
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import granulens.cli
 from granulens.cli import run_cli
 
 from conftest import DATA_DIR
@@ -97,23 +107,58 @@ def _write_runs(directory, table_path, decision):
         (directory / name).write_text(buf.getvalue())
 
 
-def _observe(directory, table, case, monkeypatch):
+def _argv(directory, table, case):
     decision, attrs, cls = TABLES[table]
-    args, outputs = CASES[case]
+    args, _ = CASES[case]
     table_path = DATA_DIR / table
     _write_runs(directory, table_path, decision)
-    monkeypatch.chdir(directory)
-    argv = [args[0], str(table_path), "--decision", decision] + [
+    return [args[0], str(table_path), "--decision", decision] + [
         a.format(attrs=attrs, cls=cls) for a in args[1:]]
+
+
+def _observe(directory, argv, monkeypatch):
+    """(exit code, stdout sha256) of ``run_cli(argv)`` run in ``directory``."""
+    monkeypatch.chdir(directory)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         code = run_cli(argv)
-    files = {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
-             for name in outputs}
-    return code, hashlib.sha256(stdout.getvalue().encode()).hexdigest(), files
+    return code, hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+def _files(directory, case):
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in CASES[case][1]}
 
 
 @pytest.mark.parametrize("case", list(CASES))
 @pytest.mark.parametrize("table", list(TABLES))
 def test_outputs_match_recorded_digests(tmp_path, monkeypatch, table, case):
-    assert _observe(tmp_path, table, case, monkeypatch) == GOLDEN[table, case]
+    argv = _argv(tmp_path, table, case)
+    observed = *_observe(tmp_path, argv, monkeypatch), _files(tmp_path, case)
+    assert observed == GOLDEN[table, case]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("table", list(TABLES))
+def test_cli_process_outputs_match_recorded_digests(tmp_path, table, case):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(PYTHONPATH=str(pathlib.Path(granulens.__file__).resolve().parents[1]),
+               PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-m", "granulens.cli", *_argv(tmp_path, table, case)],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert done.stderr == b""
+    observed = done.returncode, hashlib.sha256(done.stdout).hexdigest(), _files(tmp_path, case)
+    assert observed == GOLDEN[table, case]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("table", list(TABLES))
+def test_no_report_is_built_without_out(tmp_path, monkeypatch, table, case):
+    def raiser(*args, **kwargs):
+        raise AssertionError("report built without --out")
+    for name in ("_json", "per_block", "asdict"):
+        monkeypatch.setattr(granulens.cli, name, raiser)
+    argv = _argv(tmp_path, table, case)
+    if "--out" in argv:
+        del argv[argv.index("--out"):argv.index("--out") + 2]
+    assert _observe(tmp_path, argv, monkeypatch) == GOLDEN[table, case][:2]

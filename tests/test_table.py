@@ -20,8 +20,8 @@ from granulens import (
 from granulens.table import refine
 
 from conftest import DATA_DIR
-from helpers import (partition_by_fold, random_attr_subset, random_table, random_view,
-                     refine_by_fold, refines_by_loop)
+from helpers import (blocks_of, partition_by_fold, random_attr_subset, random_table,
+                     random_view, refine_by_fold, refines_by_loop)
 
 
 class TestLoadTable:
@@ -169,19 +169,19 @@ class TestPartitionBy:
     def test_toy8_by_a1(self, toy8):
         view = discretize(toy8, GranulationScheme())
         part = partition_by(view, ["a1"])
-        assert part.blocks == [[0, 1], [2, 3], [4, 5, 6, 7]]
+        assert blocks_of(part) == [[0, 1], [2, 3], [4, 5, 6, 7]]
 
     def test_empty_attrs_single_block(self, toy8):
         view = discretize(toy8, GranulationScheme())
         part = partition_by(view, [])
         assert part.block_count == 1
-        assert part.blocks == [list(range(8))]
+        assert blocks_of(part) == [list(range(8))]
 
     def test_toy8_full_attrs_singletons(self, toy8):
         view = discretize(toy8, GranulationScheme({"a2": 3}))
         part = partition_by(view, ["a1", "a2"])
         assert part.block_count == 8
-        assert all(len(b) == 1 for b in part.blocks)
+        assert all(len(b) == 1 for b in blocks_of(part))
 
     def test_rejects_decision_and_unknown(self, toy8):
         view = discretize(toy8, GranulationScheme())
@@ -217,9 +217,9 @@ class TestPartitionBy:
         base = load_table(toy8_csv, "d")
         pb = partition_by(discretize(base, GranulationScheme({"a2": 1})), ["a2"])
         ps = partition_by(discretize(shuffled, GranulationScheme({"a2": 1})), ["a2"])
-        base_sets = {frozenset(b) for b in pb.blocks}
+        base_sets = {frozenset(b) for b in blocks_of(pb)}
         # shuffled row i came from original row perm[i]
-        shuf_sets = {frozenset(perm[i] for i in b) for b in ps.blocks}
+        shuf_sets = {frozenset(perm[i] for i in b) for b in blocks_of(ps)}
         assert base_sets == shuf_sets
 
 
