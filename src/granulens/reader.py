@@ -3,29 +3,19 @@
 Both loaders read the UTF-8 bytes ``encoded`` makes of their input. ``scan``
 finds every field of such bytes in the plain grammar, where the csv module
 reads each field as the raw bytes between two separators. ``read_columns``,
-the csv path, decodes them, transposes records into cells per column and
-composes every error; both loaders fall back to it for any other text.
+the csv path, decodes them, slices each column out of one flat list of cells
+and composes every error; both loaders fall back to it for any other text.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-
-#: Records transposed per step of read_columns. A chunk's row lists stay
-#: below CPython's generation-0 threshold of 700 allocations and are freed
-#: before the next chunk is read, so a collection rarely finds them alive.
-#: Row lists that survive collections are promoted, and enough promoted
-#: objects set off full-heap (generation-2) collections: loading eight
-#: 50k-row runs took 7 of them and 1.8x the time with 4096-record chunks,
-#: and 9 and 2.2x with every record kept alive.
-_CHUNK = 256
 
 
 def encoded(data: bytes | str) -> bytes:
@@ -96,35 +86,25 @@ def read_columns(body: bytes, skipped: int = 0) -> tuple[
     record the csv module rejects (a field over its size limit, say).
     """
     records = csv.reader(io.StringIO(body.decode("utf-8", "surrogatepass"), newline=""))
-    line, chunk = 1 + skipped, []  # chunk[0]'s line; extend keeps what it read before a raise
+    line = skipped  # the line of the last record read; a csv.Error stops on the next
+    cells: list[str] = []  # every record's cells, one record after another
+    blanks, ragged = [], None
     try:
-        header = next(records, None)
+        header, line = next(records, None), line + 1
         width = len(header or ())
-        columns: list[list[str]] = [[] for _ in range(width)]
-        blanks: list[int] = []
-        line += 1
-        while chunk.extend(islice(records, _CHUNK)) or chunk:
-            start, line = line, line + len(chunk)
-            ragged = None
-            if set(map(len, chunk)) != {width}:
-                rows = []
-                for lineno, row in enumerate(chunk, start=start):
-                    if not row:
-                        blanks.append(lineno)
-                    elif len(row) != width:
-                        ragged = (lineno, len(row))
-                        break
-                    else:
-                        rows.append(row)
-                chunk = rows
-            for column, cells in zip(columns, zip(*chunk)):
-                column.extend(cells)
-            if ragged is not None:
-                return header, columns, blanks, ragged
-            chunk = []
+        for row in records:  # each row list is freed when the next is read
+            line += 1
+            if len(row) == width:
+                cells += row
+            elif not row:
+                blanks.append(line)
+            else:
+                ragged = (line, len(row))
+                break
     except csv.Error as exc:
-        raise DataError(f"unreadable CSV record at line {line + len(chunk)}: {exc}") from None
-    return header, columns, blanks, None
+        raise DataError(f"unreadable CSV record at line {line + 1}: {exc}") from None
+    del records  # and the decoded text, 4 bytes a character in the StringIO
+    return header, [cells[c::width] for c in range(width)], blanks, ragged
 
 
 def line_of(row: int, blanks: list[int], skipped: int = 0) -> int:

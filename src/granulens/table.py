@@ -52,9 +52,6 @@ class GranulationScheme:
 
     bits: Mapping[str, int] = field(default_factory=dict)
 
-    def bits_for(self, name: str) -> int:
-        return self.bits.get(name, 0)
-
     @classmethod
     def uniform(cls, table: "InformationTable", bits: int,
                 attrs: Sequence[str] | None = None) -> "GranulationScheme":
@@ -351,7 +348,6 @@ class DiscreteView:
     """One int64 code array of length n per attribute under one granulation scheme."""
 
     source: InformationTable
-    scheme: GranulationScheme
     codes: Mapping[str, np.ndarray]  # attribute name -> its codes
 
     def codes_for(self, name: str) -> np.ndarray:
@@ -386,10 +382,10 @@ def discretize(table: InformationTable, scheme: GranulationScheme) -> DiscreteVi
     for spec in table.attributes:
         if spec.kind == "numeric":
             codes[spec.name] = _bin_numeric(table.column(spec.name), spec.observed_range,
-                                            scheme.bits_for(spec.name))
+                                            scheme.bits.get(spec.name, 0))
         else:
             codes[spec.name] = table._columns[spec.name][1]
-    return DiscreteView(table, scheme, codes)
+    return DiscreteView(table, codes)
 
 
 def _bin_numeric(values: np.ndarray, rng: tuple[float, float] | None,

@@ -13,9 +13,11 @@ and takes its conditional entropy. The relabel oracle ranks integer keys with
 oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
 CSV loader oracles walk the input row by row and cell by cell, and
 ``_exactly`` runs a loader with only its csv path, and ``_exact_reads`` counts
-the times a loader reads by it. ``payload_by_hand`` builds each report's
-``--out`` JSON payload the way the CLI did before one converter built them
-all: field by field, rounding each float and Fraction with ``_r9``.
+the times a loader reads by it. ``read_columns_chunked`` is the csv path's
+reader as it was before its one pass: it transposed 256 records at a time.
+``payload_by_hand`` builds each report's ``--out`` JSON payload the way the
+CLI did before one converter built them all: field by field, rounding each
+float and Fraction with ``_r9``.
 """
 
 import csv
@@ -25,6 +27,7 @@ import random
 import re
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -571,6 +574,54 @@ def _exact_reads(load, *args, **kwargs):
             mock.patch("granulens.harness.read_columns", counting):
         outcome(load, *args, **kwargs)
     return len(calls)
+
+
+#: Records transposed per step of read_columns_chunked, as the library read them
+_CHUNK = 256
+
+
+def read_columns_chunked(body: bytes, skipped: int = 0) -> tuple[
+        list[str] | None, list[list[str]], list[int], tuple[int, int] | None]:
+    """Read CSV bytes (see ``encoded``) into its header and one list of cells per column.
+
+    ``\\r``, ``\\n`` and ``\\r\\n`` end records. Lines count records (a quoted
+    cell may span several), the header being line 1 + ``skipped``. Blank
+    records are skipped, and reading stops at the first record whose cell
+    count differs from the header's. Returns the header (None for text
+    without records), the columns, the blank records' lines, and (line, cell
+    count) of that ragged record or None. A DataError names the line of a
+    record the csv module rejects (a field over its size limit, say).
+    """
+    records = csv.reader(io.StringIO(body.decode("utf-8", "surrogatepass"), newline=""))
+    line, chunk = 1 + skipped, []  # chunk[0]'s line; extend keeps what it read before a raise
+    try:
+        header = next(records, None)
+        width = len(header or ())
+        columns: list[list[str]] = [[] for _ in range(width)]
+        blanks: list[int] = []
+        line += 1
+        while chunk.extend(islice(records, _CHUNK)) or chunk:
+            start, line = line, line + len(chunk)
+            ragged = None
+            if set(map(len, chunk)) != {width}:
+                rows = []
+                for lineno, row in enumerate(chunk, start=start):
+                    if not row:
+                        blanks.append(lineno)
+                    elif len(row) != width:
+                        ragged = (lineno, len(row))
+                        break
+                    else:
+                        rows.append(row)
+                chunk = rows
+            for column, cells in zip(columns, zip(*chunk)):
+                column.extend(cells)
+            if ragged is not None:
+                return header, columns, blanks, ragged
+            chunk = []
+    except csv.Error as exc:
+        raise DataError(f"unreadable CSV record at line {line + len(chunk)}: {exc}") from None
+    return header, columns, blanks, None
 
 
 def coded_by_dict(cells):

@@ -18,8 +18,9 @@ from granulens.cli import run_cli
 from granulens.table import _BLANK, _DENSE, factorize
 
 from conftest import DATA_DIR
+from granulens.reader import read_columns
 from helpers import (_exact_reads, _exactly, factorize_by_unique, load_run_by_rows,
-                     load_table_by_rows, outcome, rare, run_csv)
+                     load_table_by_rows, outcome, rare, read_columns_chunked, run_csv)
 
 PAD = st.sampled_from(["", "", " ", "\t", " ", "\xa0", "\x1c", " 　"])
 NUMBER = st.one_of(
@@ -392,7 +393,7 @@ def test_factorize_dense_keys_without_unique(monkeypatch):
 def test_loading_makes_no_full_collection():
     """Row lists must die young: none may be promoted into the old generations.
     The inputs are plain, so the byte paths read them; a second pass reads them
-    by the csv path, whose chunked transposition (``reader._CHUNK``) this guards."""
+    by the csv path, whose one pass frees each row list when it reads the next."""
     rng = np.random.default_rng(11)
     values = np.round(rng.uniform(size=(20_000, 20)), 6)
     header = ",".join(f"a{j}" for j in range(20)) + ",d\n"
@@ -524,6 +525,12 @@ class TestCsvModuleErrors:
         with pytest.raises(DataError, match="ragged run row at line 7"):
             load_run(run.replace("5,0,", "5,0,0,"), toy8)
 
+    @pytest.mark.parametrize("gap", [0, 300])
+    def test_ragged_record_ends_the_read_before_an_unreadable_one(self, gap):
+        text = "a,d\n1,p,x\n" + "1,p\n" * gap + self.BIG + ",q\n"
+        with pytest.raises(DataError, match="ragged row at line 2"):
+            load_table(text, "d")
+
     @pytest.mark.parametrize("text", ["a,d\r1,x\r2,y\r", "a,d\r\n1,x\r2,y\n"])
     def test_bare_carriage_return_ends_records(self, text):
         got = load_table(text, "d")
@@ -549,6 +556,80 @@ class TestCsvModuleErrors:
         run.write_text(_run_with_cell(2, self.BIG))
         assert run_cli(["evaluate", str(table), str(run), "--decision", "d"]) == 2
         assert "line 5: field larger than field limit" in capsys.readouterr().err
+
+
+# --- the csv path's one-pass reader against the chunked reader it replaced ----
+
+#: cell text the csv module must quote: a comma, a quote and both line-end characters
+READER_CELL = st.text(alphabet='ab ,"\n\r', max_size=4)
+
+
+def _record(cells, quote_all):
+    """One CSV record: a cell quoted where it holds a special character, in a
+    record of one empty cell (which would read as a blank one), or everywhere."""
+    return ",".join(
+        '"' + cell.replace('"', '""') + '"'
+        if quote_all or cells == [""] or any(ch in cell for ch in ',"\r\n') else cell
+        for cell in cells)
+
+
+@st.composite
+def reader_texts(draw):
+    """CSV bytes, the ``skipped`` lines, a lowered field size limit or None, and
+    the bytes up to the end of the first ragged record (all of them if there is none).
+
+    Runs of blank records cross the old reader's 256-record chunks, and a run
+    before the header makes the header blank. A field over the lowered limit
+    may fall anywhere, the header and the ragged record included."""
+    width = draw(st.integers(1, 4))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    quote_all = draw(st.booleans())
+    blank_runs = st.sampled_from([1, 2, 255, 256, 257, 600]).map(lambda k: [None] * k)
+    rows = st.lists(READER_CELL, min_size=width, max_size=width).map(lambda r: [r])
+    records = [row for part in draw(st.lists(st.one_of(rows, rows, blank_runs), max_size=8))
+               for row in part]
+    records.insert(0, draw(st.lists(READER_CELL, min_size=width, max_size=width)))
+    if draw(st.booleans()):
+        records = [None] * draw(st.sampled_from([1, 300])) + records
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 5).filter(lambda k: k != width))
+        records.insert(draw(st.integers(1, len(records))),
+                       draw(st.lists(READER_CELL, min_size=size, max_size=size)))
+    limit = None
+    if draw(st.booleans()):
+        limit = 6  # longer than any READER_CELL
+        record = draw(st.sampled_from([record for record in records if record]))
+        record[draw(st.integers(0, len(record) - 1))] = draw(
+            st.sampled_from(["x" * 7, "a,\r\n" * 3, '"' * 8]))
+    lines = ["" if record is None else _record(record, quote_all) for record in records]
+    text = "".join(line + eol for line in lines)
+    if draw(st.booleans()):
+        text = text[:-len(eol)]  # no line end after the last record
+    head = len(records[0] or ())
+    ragged = [i for i, record in enumerate(records[1:], 1) if record and len(record) != head]
+    cut = len("".join(line + eol for line in lines[:ragged[0] + 1])) if ragged else len(text)
+    return text.encode(), draw(st.sampled_from([0, 1])), limit, text[:cut].encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(reader_texts())
+def test_read_columns_matches_chunked_reader(inputs):
+    """The one-pass reader returns what the chunked one did, or raises its error.
+    Reading stops at the first ragged record, so the chunked reader reads only as
+    far: it read on to the end of the ragged record's chunk and raised on an
+    unreadable record there. Under a blank header the chunked reader listed a
+    blank record only when its chunk also held another record, and each loader
+    rejects an empty header first, so only the header and the ragged record count."""
+    body, skipped, limit, upto_ragged = inputs
+    old = csv.field_size_limit(limit or csv.field_size_limit())
+    try:
+        got = outcome(read_columns, body, skipped)
+        want = outcome(read_columns_chunked, upto_ragged, skipped)
+    finally:
+        csv.field_size_limit(old)
+    if isinstance(want, tuple) and want[0] == [] and isinstance(got, tuple):
+        got, want = (got[0], got[3]), (want[0], want[3])
+    assert got == want
 
 
 # --- the byte reader of tables (reader.scan, np.loadtxt) against the exact path
