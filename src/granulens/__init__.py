@@ -38,7 +38,7 @@ from .entropy import (
     per_block,
 )
 from .sweep import SweepPoint, SweepCurve, ConvergenceSummary, sweep, convergence_summary
-from .reduction import ReductResult, greedy_reduct, exhaustive_reducts, entropy_rank
+from .reduction import ReductResult, greedy_reduct, entropy_rank
 from .harness import (
     ModelRun,
     EvalReport,
@@ -47,7 +47,7 @@ from .harness import (
     evaluate_run,
     compare_runs,
 )
-from .curvefile import write_curve, read_curve, curve_to_csv
+from .curvefile import read_curve, curve_to_csv
 from .svg import emit_svg
 
 __version__ = "0.1.0"

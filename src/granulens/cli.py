@@ -2,14 +2,18 @@
 
 Exit codes: 0 success, 1 usage error, 2 data/file error. Human-readable
 summaries go to stdout; machine output is written only to --out/--svg
-paths, atomically (temp file + rename).
+paths, atomically (temp file + rename). The library returns text; this is
+the one module that reads or writes a file.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
+import stat
 import sys
 from dataclasses import asdict, fields, is_dataclass
 from fractions import Fraction
@@ -22,7 +26,7 @@ from .entropy import granular_entropy, per_block
 from .sweep import sweep, convergence_summary
 from .reduction import greedy_reduct, entropy_rank
 from .harness import load_run, evaluate_run, compare_runs
-from .curvefile import write_curve, write_atomic, fmt
+from .curvefile import curve_to_csv, fmt
 from .svg import emit_svg
 
 
@@ -126,6 +130,31 @@ def _load(args):
     return load_table(_read(args.table), args.decision, table_id=Path(args.table).name)
 
 
+def write_atomic(path: str, data: str) -> None:
+    """Write to a temp file beside the target, then rename: no partial outputs. As a
+    plain write does, write through a symlink, create a file 0o666 under the umask and
+    keep an existing file's permission bits; refuse a target that is neither a file nor
+    a directory, or ''. An OSError names ``path``, never the temp file, which is removed."""
+    if not path:  # as open('') does: realpath('') would be the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real), f".granulens-tmp-{os.urandom(8).hex()}")
+    try:
+        mode = os.stat(real).st_mode if os.path.exists(real) else None
+        if mode is not None and stat.S_IFMT(mode) not in (stat.S_IFREG, stat.S_IFDIR):
+            raise OSError(errno.EINVAL, "Not a regular file")
+        with open(tmp, "x") as fh:  # created 0o666 under the umask
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            fh.write(data)
+        os.replace(tmp, real)  # onto a directory: [Errno 21] Is a directory
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _emit_json(args, payload) -> None:  # payload() is built only when --out is given
     if args.out is not None:
         write_atomic(args.out, json.dumps(payload(), indent=2) + "\n")
@@ -208,9 +237,9 @@ def cmd_sweep(args, table) -> None:
     if args.format == "json":
         _emit_json(args, lambda: _json(curve.points))
     elif args.out is not None:
-        write_curve(curve, args.out)
+        write_atomic(args.out, curve_to_csv(curve))
     if args.svg is not None:
-        emit_svg(curve, args.svg)
+        write_atomic(args.svg, emit_svg(curve))
 
 
 def cmd_reduce(args, table) -> None:

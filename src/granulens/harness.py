@@ -117,6 +117,7 @@ def load_run(csv_data: bytes | str, table: InformationTable,
     if scanned is not None:
         header, data, bounds = scanned
         values = _digits(data, *bounds(0))
+    if values is not None:  # else the csv path reads the run: code no field for it
         coded = [code_fields(data, *bounds(c)) for c in range(1, len(header))]
         bad = ragged = None
     if values is None or None in coded:

@@ -1,10 +1,9 @@
-"""Attribute reduction: greedy reduct search, exhaustive oracle, entropy ranking."""
+"""Attribute reduction: greedy reduct search and entropy ranking."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .errors import DataError
@@ -82,29 +81,6 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
         if _gamma_of(view, labels, remaining) == gamma_full:
             selected = remaining
     return ReductResult(selected, gamma_full, gamma_full, trace)
-
-
-def exhaustive_reducts(view: DiscreteView, decision_labels,
-                       max_attrs: int = 12) -> list[tuple[str, ...]]:
-    """All inclusion-minimal attribute subsets preserving full dependency.
-
-    Enumerated in size-then-lexicographic order (lexicographic by attribute
-    declaration order). Oracle for validating the greedy search; refuses
-    attribute counts beyond max_attrs.
-    """
-    names = view.condition_names
-    if len(names) > max_attrs:
-        raise DataError(f"{len(names)} attributes exceeds max_attrs={max_attrs}")
-    labels = factorize(decision_labels)
-    gamma_full = _gamma_of(view, labels, names)
-    found: list[tuple[str, ...]] = []
-    for size in range(len(names) + 1):
-        for combo in combinations(names, size):
-            if any(set(r) <= set(combo) for r in found):
-                continue
-            if _gamma_of(view, labels, combo) == gamma_full:
-                found.append(combo)
-    return found
 
 
 def entropy_rank(view: DiscreteView, decision_labels) -> list[tuple[str, float]]:

@@ -1,15 +1,14 @@
 """Minimal dependency-free SVG line chart for sweep curves.
 
 Two series are drawn against the bits level: normalized conditional
-entropy and boundary fraction, both living in [0, 1]. Output bytes are a
-pure function of the input curve.
+entropy and boundary fraction, both living in [0, 1]. ``emit_svg`` returns
+the document as text and writes no file; its bytes depend only on the curve.
 """
 
 from __future__ import annotations
 
 from .errors import DataError
 from .sweep import SweepCurve
-from .curvefile import write_atomic
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 60, 24, 28, 56
@@ -23,8 +22,8 @@ def _coord(x: float) -> str:
     return f"{x:.2f}"
 
 
-def emit_svg(curve: SweepCurve, out_path: str | None = None) -> str:
-    """Render the curve as a standalone SVG; optionally write it atomically."""
+def emit_svg(curve: SweepCurve) -> str:
+    """Render the curve as a standalone SVG document; the caller writes it."""
     if not curve.points:
         raise DataError("empty curve")
     plot_w = WIDTH - MARGIN_L - MARGIN_R
@@ -87,7 +86,4 @@ def emit_svg(curve: SweepCurve, out_path: str | None = None) -> str:
         parts.append(f'<text x="{x0 + 28}" y="{ly + 4}" font-size="12">{label}</text>')
         ly += 18
     parts.append("</svg>")
-    doc = "\n".join(parts) + "\n"
-    if out_path is not None:
-        write_atomic(out_path, doc)
-    return doc
+    return "\n".join(parts) + "\n"

@@ -8,9 +8,10 @@ oracle rebuilds every level from scratch with the fold instead of refining.
 The reduct and run-evaluation oracles count on the decision's token labels
 and build a separate partition for each metric, or one refined partition
 per greedy candidate. The ranking oracle builds one partition per attribute
-and takes its conditional entropy. The relabel oracle ranks integer keys with
-``np.unique`` and orders the ranks by an argsort of their first rows. The granular-entropy
-oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
+and takes its conditional entropy. ``exhaustive_reducts`` tries every
+attribute subset: the oracle for reduct soundness. The relabel oracle ranks
+integer keys with ``np.unique`` and orders the ranks by an argsort of their
+first rows. The granular-entropy oracle builds the per-block list eagerly and sums H(D|P) with np.dot. The
 CSV loader oracles walk the input row by row and cell by cell, and
 ``_exactly`` runs a loader with only its csv path, and ``_exact_reads`` counts
 the times a loader reads by it. ``read_columns_chunked`` is the csv path's
@@ -27,7 +28,7 @@ import random
 import re
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
 from unittest import mock
 
 import numpy as np
@@ -332,6 +333,28 @@ def entropy_rank_by_partition(view, decision_labels):
     gains = [(name, h_d - conditional(labels, partition_by(view, [name]))) for name in names]
     gains.sort(key=lambda item: -item[1])
     return gains
+
+
+def exhaustive_reducts(view, decision_labels, max_attrs=12):
+    """All inclusion-minimal attribute subsets preserving full dependency.
+
+    Enumerated in size-then-lexicographic order (lexicographic by attribute
+    declaration order). Oracle for validating the greedy search; refuses
+    attribute counts beyond max_attrs.
+    """
+    names = view.condition_names
+    if len(names) > max_attrs:
+        raise DataError(f"{len(names)} attributes exceeds max_attrs={max_attrs}")
+    labels = factorize(decision_labels)
+    gamma_full = dependency(partition_by(view, list(names)), labels)
+    found = []
+    for size in range(len(names) + 1):
+        for combo in combinations(names, size):
+            if any(set(r) <= set(combo) for r in found):
+                continue
+            if dependency(partition_by(view, list(combo)), labels) == gamma_full:
+                found.append(combo)
+    return found
 
 
 def factorize_by_unique(keys):

@@ -23,7 +23,6 @@ from granulens import (
     curve_to_csv,
     dependency,
     discretize,
-    exhaustive_reducts,
     granular_entropy,
     greedy_reduct,
     joint,
@@ -39,6 +38,7 @@ from helpers import (
     brute_lower,
     brute_upper,
     code_tuples,
+    exhaustive_reducts,
     random_attr_subset,
     random_table,
     random_view,

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -18,11 +19,12 @@ import granulens
 
 from granulens import (ConceptSet, EvalReport, GranularEntropyReport, InformationTable,
                        ModelRun, ReductResult, RegionReport, RoughApproximation, SweepPoint,
-                       approximate, compare_runs, emit_svg, entropy_rank, evaluate_run,
-                       granular_entropy, greedy_reduct, load_table, partition_by, per_block,
-                       read_curve, regions, sweep)
-from granulens.cli import _json, run_cli
-from granulens.curvefile import fmt, write_atomic
+                       approximate, compare_runs, curve_to_csv, emit_svg, entropy_rank,
+                       evaluate_run, granular_entropy, greedy_reduct, load_table,
+                       partition_by, per_block, read_curve, regions, sweep)
+import granulens.cli
+from granulens.cli import _json, run_cli, write_atomic
+from granulens.curvefile import fmt
 from granulens.harness import RankedRun
 from granulens.reduction import ReductStep
 
@@ -81,6 +83,23 @@ class TestSweepCommand:
         run_cli(["sweep", str(toy8_file), "--decision", "d", "--attrs", "a2",
                  "--bits", "0..3", "--out", str(b), "--threads", "4"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_outputs_go_through_write_atomic(self, tmp_path, toy8, toy8_file, monkeypatch):
+        """The curve CSV, then the chart, and the JSON curve are each one write_atomic
+        call with the text the library returns."""
+        writes = []
+        monkeypatch.setattr(granulens.cli, "write_atomic",
+                            lambda path, data: writes.append((path, data)))
+        argv = ["sweep", str(toy8_file), "--decision", "d", "--attrs", "a2", "--bits", "0..3"]
+        curve = sweep(toy8, ["a2"], 0, 3)
+        csv_out, svg_out = str(tmp_path / "c.csv"), str(tmp_path / "c.svg")
+        assert run_cli([*argv, "--out", csv_out, "--svg", svg_out]) == 0
+        assert writes == [(csv_out, curve_to_csv(curve)), (svg_out, emit_svg(curve))]
+        writes.clear()
+        json_out = str(tmp_path / "c.json")
+        assert run_cli([*argv, "--format", "json", "--out", json_out]) == 0
+        assert writes == [(json_out, json.dumps(_json(curve.points), indent=2) + "\n")]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy8.csv"]
 
     @pytest.mark.parametrize("bits", ["a..3", "2..x", "5..", ".."])
     def test_malformed_bits_usage_error(self, tmp_path, toy8_file, capsys, bits):
@@ -407,6 +426,20 @@ def test_write_atomic_refuses_an_empty_path(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.rglob("*")] == ["here"]
 
 
+def test_only_the_cli_touches_files():
+    """The library returns text: no module but cli.py opens, writes, renames or
+    unlinks a file."""
+    banned = {"open", "os.replace", "os.unlink", "os.fchmod"}
+    found = set()
+    for path in pathlib.Path(granulens.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name in banned:
+                    found.add((path.name, name))
+    assert found == {("cli.py", name) for name in banned}
+
+
 def test_sweep_range_wider_than_dbl_max_splits_under_warnings_as_errors(tmp_path):
     table = tmp_path / "wide.csv"
     table.write_text("a,d\n-1e308,x\n0,y\n1e308,z\n")
@@ -504,14 +537,14 @@ class TestSvg:
 
     def test_empty_curve_rejected(self, tmp_path):
         with pytest.raises(granulens.DataError, match="empty curve"):
-            emit_svg(granulens.SweepCurve([], ("a2",)), str(tmp_path / "c.svg"))
+            write_atomic(str(tmp_path / "c.svg"), emit_svg(granulens.SweepCurve([], ("a2",))))
         assert not list(tmp_path.iterdir())
 
     def test_deterministic_bytes(self, toy8, tmp_path):
         curve = sweep(toy8, ["a2"], 0, 3)
         p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
-        emit_svg(curve, str(p1))
-        emit_svg(curve, str(p2))
+        write_atomic(str(p1), emit_svg(curve))
+        write_atomic(str(p2), emit_svg(curve))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_cli_svg_flag(self, tmp_path, toy8_file):

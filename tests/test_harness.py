@@ -20,7 +20,9 @@ from granulens import (
     load_table,
 )
 
-from helpers import (evaluate_run_on_tokens, load_run_by_rows,
+import granulens.harness
+
+from helpers import (_exactly, evaluate_run_on_tokens, load_run_by_rows,
                      random_table, run_csv)
 
 
@@ -261,6 +263,26 @@ def test_loaded_run_is_scored_on_its_codes(monkeypatch, toy8_csv):
     assert reports[0] == reports[1] == reports[2]
     assert reports[0].accuracy == 1.0 and reports[0].block_count == 3
     assert seen == []
+
+
+@pytest.mark.parametrize("index", ["+7", " 7", "0" * 18 + "7"])
+def test_run_for_the_csv_path_codes_no_field_by_bytes(monkeypatch, toy8, index):
+    """An object_index outside 1-18 ASCII digits sends the run to the csv path
+    before any of its text columns is coded from bytes."""
+    rows = perfect_rows(toy8, A1_GRANULES)
+    rows[-1][0] = index
+    text = run_csv(rows, header=("object_index", "predicted", "granule"))
+    exact = _exactly(load_run, text, toy8)
+    calls = []
+    orig = granulens.harness.code_fields
+    monkeypatch.setattr(granulens.harness, "code_fields",
+                        lambda *args: calls.append(args) or orig(*args))
+    run = load_run(text, toy8)
+    assert calls == []
+    assert run == exact
+    (texts, codes, blocks), (want_texts, want_codes, want_blocks) = run._codes, exact._codes
+    assert texts == want_texts
+    assert codes.tolist() == want_codes.tolist() and blocks.tolist() == want_blocks.tolist()
 
 
 def test_replaced_run_is_coded_again(toy8):

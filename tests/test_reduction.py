@@ -20,7 +20,6 @@ from granulens import (
     conditional,
     discretize,
     entropy_rank,
-    exhaustive_reducts,
     greedy_reduct,
     load_table,
     partition_by,
@@ -29,7 +28,7 @@ from granulens import (
 )
 from granulens.table import factorize
 
-from helpers import (entropy_rank_by_partition, greedy_reduct_by_refine,
+from helpers import (entropy_rank_by_partition, exhaustive_reducts, greedy_reduct_by_refine,
                      greedy_reduct_two_partitions, random_table, random_view)
 
 
