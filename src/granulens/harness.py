@@ -167,9 +167,8 @@ def evaluate_run(table: InformationTable, run: ModelRun) -> EvalReport:
     if len(run.predicted) != n or (run.granule is not None and len(run.granule) != n):
         raise UniverseMismatchError("run does not cover the table's universe")
     texts, predicted, blocks = run._codes
-    labels, truth = table._columns[table.decision]
-    if not all(type(label) is str for label in labels):  # equal labels may differ in str
-        labels, truth = table.decision_labels, slice(None)
+    own = table.decision in table._cells  # equal cells may differ in str: score each row's own
+    labels, truth = (table.decision_labels, slice(None)) if own else table._columns[table.decision]
     text_id = dict(zip(texts, range(len(texts))))
     hit = np.array([text_id.get(str(label), -1) for label in labels], dtype=np.int64)
     correct = np.count_nonzero(hit[truth] == predicted)  # the str of its label is predicted

@@ -1,14 +1,13 @@
-"""Attribute reduction: greedy reduct search and entropy ranking."""
+"""Attribute reduction: greedy reduct search and entropy ranking, on counts built in ``rough``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DataError
-from .table import _DENSE, DiscreteView, Partition, factorize, partition_by, refine
-from .rough import _class_counts, _label_matrix, dependency, region_fractions
+from .table import DiscreteView, Partition, factorize, partition_by, refine
+from .rough import _counts_by, dependency, region_fractions
 from .entropy import _conditional_bits, conditional
 
 
@@ -27,19 +26,6 @@ class ReductResult:
     trace: list[ReductStep]
 
 
-def _gamma_of(view: DiscreteView, labels, attrs: Sequence[str]) -> Fraction:
-    return dependency(partition_by(view, list(attrs)), labels)
-
-
-def _counts_by(part: Partition, col, labels, k: int):
-    """(block x class) counts of ``part`` split by ``col``, one row per key ``block * w + code``;
-    ``part`` is refined first only where those rows would pass ``_DENSE * n``."""
-    w = int(col.max()) + 1
-    if part.block_count * w * k <= _DENSE * part.n:  # count rows stay O(n)
-        return _class_counts(part.block_of * w + col, part.block_count * w, labels, k)
-    return _label_matrix(refine(part, [col]), labels)
-
-
 def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     """Forward-select attributes by dependency gain, then prune redundant picks.
 
@@ -53,7 +39,7 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     if not names:
         raise DataError("no condition attributes to reduce over")
     labels = factorize(decision_labels)
-    gamma_full = _gamma_of(view, labels, names)
+    gamma_full = dependency(partition_by(view, names), labels)
 
     if gamma_full < 1:
         return ReductResult(list(names), gamma_full, gamma_full, [])
@@ -78,7 +64,7 @@ def greedy_reduct(view: DiscreteView, decision_labels) -> ReductResult:
     # Backward prune: later picks can make earlier ones redundant; gamma stays gamma_full.
     for name in reversed(list(selected)):
         remaining = [a for a in selected if a != name]
-        if _gamma_of(view, labels, remaining) == gamma_full:
+        if dependency(partition_by(view, remaining), labels) == gamma_full:
             selected = remaining
     return ReductResult(selected, gamma_full, gamma_full, trace)
 

@@ -1,4 +1,4 @@
-"""Lower/upper approximations, boundary regions, and dependency degrees.
+"""Every (block x class) count, and the approximations, regions and dependency read off it.
 
 All set cardinalities, gamma, and boundary fractions use exact integer or
 rational arithmetic; floats appear only in entropy values elsewhere.
@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UniverseMismatchError, DataError
-from .table import Partition, factorize
+from .table import _DENSE, Partition, _coded, factorize, refine
 
 
 @dataclass(frozen=True)
@@ -80,20 +80,33 @@ def _objects(in_block: np.ndarray, block_of: np.ndarray) -> frozenset:
     return frozenset(np.flatnonzero(in_block[block_of]).tolist())
 
 
-def _label_matrix(partition: Partition, labels: Sequence) -> np.ndarray:
-    """Per-(block, class) count matrix; classes are columns in first-occurrence order."""
+def _checked(partition: Partition, labels: Sequence) -> Sequence:
+    """``labels``, once their length is known to be the partition's nonempty universe."""
     if len(labels) != partition.n:
-        raise UniverseMismatchError(
-            f"{len(labels)} labels for a universe of {partition.n}")
+        raise UniverseMismatchError(f"{len(labels)} labels for a universe of {partition.n}")
     if partition.n == 0:
         raise DataError("empty label set")
-    codes = factorize(labels)
+    return labels
+
+
+def _label_matrix(partition: Partition, labels: Sequence) -> np.ndarray:
+    """Per-(block, class) count matrix; classes are columns in first-occurrence order."""
+    codes = factorize(_checked(partition, labels))
     return _class_counts(partition.block_of, partition.block_count, codes, int(codes.max()) + 1)
 
 
 def _class_counts(keys: np.ndarray, key_count: int, codes: np.ndarray, k: int) -> np.ndarray:
     """(key x class) count matrix; a key below ``key_count`` no object has is a zero row."""
     return np.bincount(keys * k + codes, minlength=key_count * k).reshape(key_count, k)
+
+
+def _counts_by(part: Partition, col: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """(block x class) counts of ``part`` split by ``col``, one row per key ``block * w + code``;
+    where those rows would pass ``_DENSE * n``, the blocks of ``part`` refined by ``col``."""
+    w = int(col.max()) + 1
+    if part.block_count * w * k > _DENSE * part.n:  # so count rows stay O(n)
+        part, col, w = refine(part, [col]), 0, 1
+    return _class_counts(part.block_of * w + col, part.block_count * w, labels, k)
 
 
 def _mixed(counts: np.ndarray) -> np.ndarray:
@@ -116,9 +129,9 @@ def regions(partition: Partition, decision_labels: Sequence) -> RegionReport:
     boundary the mixed ones, and a class's negative region the blocks with
     none of it. gamma + boundary_fraction = 1 in exact arithmetic.
     """
-    counts, block_of = _label_matrix(partition, decision_labels), partition.block_of
-    sizes, mixed = counts.sum(axis=1), _mixed(counts)
-    classes = dict.fromkeys(decision_labels)  # first-occurrence order, as JSON keys follow it
+    classes, codes = _coded(_checked(partition, decision_labels))  # JSON keys follow this order
+    counts = _class_counts(partition.block_of, partition.block_count, codes, len(classes))
+    sizes, mixed, block_of = counts.sum(axis=1), _mixed(counts), partition.block_of
     per_class = {cls: _approximation(block_of, counts[:, j], sizes)
                  for j, cls in enumerate(classes)}
     negative_by_class = {cls: _objects(counts[:, j] == 0, block_of)

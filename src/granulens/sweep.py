@@ -19,6 +19,7 @@ from .table import (InformationTable, GranulationScheme, Partition, discretize,
 from .entropy import granular_entropy
 
 MAX_BITS = 24
+_RISE = 1e-9  # a rise this small between levels is rounding, not a monotonicity violation
 
 
 @dataclass(frozen=True)
@@ -92,14 +93,14 @@ def sweep(table: InformationTable, attrs: Sequence[str],
                       saturated=part.block_count == table.n)
 
 
-def convergence_summary(curve: SweepCurve, tolerance: float = 1e-9) -> ConvergenceSummary:
+def convergence_summary(curve: SweepCurve) -> ConvergenceSummary:
     """Count monotonicity violations and report terminal values of a curve."""
     if not curve.points:
         raise DataError("empty curve")
     violations = 0
     for prev, cur in zip(curve.points, curve.points[1:]):
-        if (cur.conditional_bits > prev.conditional_bits + tolerance
-                or cur.boundary_fraction > prev.boundary_fraction + tolerance):
+        if (cur.conditional_bits > prev.conditional_bits + _RISE
+                or cur.boundary_fraction > prev.boundary_fraction + _RISE):
             violations += 1
     last = curve.points[-1]
     return ConvergenceSummary(violations, last.conditional_bits, last.boundary_fraction)

@@ -343,3 +343,15 @@ def test_equal_labels_keep_their_own_str():
     assert [type(a) for a in table.column("c")] == [float, bool, str]
     assert table.decision_codes.tolist() == [0, 0, 0]
     assert evaluate_run(table, ModelRun("r", ["1", "1", "1.0"])).accuracy == 2 / 3
+
+
+def test_str_subclass_label_is_scored_by_its_own_str():
+    """A decision cell equal to another but printing differently is scored by its own
+    str, even where every token the table keeps is a plain str."""
+    class S(str):
+        def __str__(self):
+            return "x"
+
+    table = InformationTable.from_columns({"a": ["p", "q"], "d": ["a", S("a")]}, "d")
+    assert evaluate_run(table, ModelRun("r", ["a", "x"])).accuracy == 1.0
+    assert evaluate_run(table, ModelRun("r", ["a", "a"])).accuracy == 0.5

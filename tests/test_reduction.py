@@ -201,10 +201,11 @@ def test_one_partition_per_greedy_candidate(monkeypatch):
     calls, refined = [], []
     monkeypatch.setattr(granulens.reduction, "partition_by",
                         lambda view, attrs: calls.append(list(attrs)) or orig_partition(view, attrs))
-    monkeypatch.setattr(granulens.reduction, "refine",
-                        lambda part, cols: refined.append(len(cols)) or orig_refine(part, cols))
+    for module in (granulens.rough, granulens.reduction):  # candidates, then picks
+        monkeypatch.setattr(module, "refine",
+                            lambda part, cols: refined.append(len(cols)) or orig_refine(part, cols))
     for dense, refined_per_candidate in ((10**9, 0), (0, 1)):
-        monkeypatch.setattr(granulens.reduction, "_DENSE", dense)
+        monkeypatch.setattr(granulens.rough, "_DENSE", dense)
         searched = 0
         for _ in range(20):
             table = _consistent_table(rng)
@@ -228,13 +229,14 @@ def test_entropy_rank_counts_without_partitions(monkeypatch):
     takes a conditional entropy, unless the count rows pass _DENSE * n and each
     column is refined."""
     calls = Counter()
-    for name in ("partition_by", "refine", "conditional"):
-        monkeypatch.setattr(granulens.reduction, name,
-                            lambda *args, fn=getattr(granulens.reduction, name), name=name:
+    for module, name in ((granulens.reduction, "partition_by"), (granulens.rough, "refine"),
+                         (granulens.reduction, "conditional")):
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=getattr(module, name), name=name:
                             calls.update([name]) or fn(*args))
     rng = random.Random(11)
-    for dense, refined in ((granulens.reduction._DENSE, 0), (0, 1)):
-        monkeypatch.setattr(granulens.reduction, "_DENSE", dense)
+    for dense, refined in ((granulens.rough._DENSE, 0), (0, 1)):
+        monkeypatch.setattr(granulens.rough, "_DENSE", dense)
         for _ in range(10):
             table = _consistent_table(rng)  # 3 values, 3 classes, 2 rows or more: dense at 8
             view = discretize(table, GranulationScheme())
@@ -250,11 +252,10 @@ def test_one_count_pass_per_greedy_partition(monkeypatch):
     rng = random.Random(5)
     orig_count = granulens.rough._class_counts
     counts = []
-    for module in (granulens.rough, granulens.reduction):
-        monkeypatch.setattr(module, "_class_counts",
-                            lambda *args: counts.append(1) or orig_count(*args))
+    monkeypatch.setattr(granulens.rough, "_class_counts",
+                        lambda *args: counts.append(1) or orig_count(*args))
     for dense in (10**9, 0):  # every candidate by packed key, then every one refined
-        monkeypatch.setattr(granulens.reduction, "_DENSE", dense)
+        monkeypatch.setattr(granulens.rough, "_DENSE", dense)
         for _ in range(10):
             table = _consistent_table(rng)
             view = discretize(table, GranulationScheme())
@@ -282,19 +283,24 @@ def test_greedy_matches_refine_oracle(seed):
 
 
 def test_refine_oracle_tables_take_both_scoring_paths(monkeypatch):
-    """The oracle test's consistent tables reach both sides of the fallback bound."""
-    seen = set()
-    orig = granulens.reduction._class_counts
-    monkeypatch.setattr(granulens.reduction, "_class_counts",
-                        lambda *args: seen.add("packed") or orig(*args))
-    orig_label = granulens.reduction._label_matrix
-    monkeypatch.setattr(granulens.reduction, "_label_matrix",
-                        lambda *args: seen.add("refined") or orig_label(*args))
+    """The oracle test's consistent tables reach both sides of the fallback bound: in
+    ``rough`` only the fallback refines, so a search that scores more candidates than it
+    refines there counted some by packed key."""
+    seen, refined = set(), []
+    orig = granulens.rough.refine
+    monkeypatch.setattr(granulens.rough, "refine",
+                        lambda *args: refined.append(1) or orig(*args))
     rng = random.Random(13)
     for _ in range(30):
         table = _consistent_table(rng, max_attrs=7, values="uvwxyzabcdefghij"[:rng.randint(2, 16)])
         view = discretize(table, GranulationScheme())
-        greedy_reduct(view, table.decision_labels)
+        refined.clear()
+        result = greedy_reduct(view, table.decision_labels)
+        m, steps = len(view.condition_names), len(result.trace)
+        if len(refined) < sum(m - i for i in range(steps)):
+            seen.add("packed")
+        if refined:
+            seen.add("refined")
     assert seen == {"packed", "refined"}
 
 
@@ -311,7 +317,7 @@ def test_entropy_rank_matches_partition_oracle(seed, dense):
         table = random_table(rng, max_n=24)
         view = random_view(rng, table, max_bits=6)
     labels = rng.choice([table.decision_labels, table.decision_codes])
-    with mock.patch.object(granulens.reduction, "_DENSE", dense):
+    with mock.patch.object(granulens.rough, "_DENSE", dense):
         ranking = entropy_rank(view, labels)
     assert ([(name, gain.hex()) for name, gain in ranking]
             == [(name, gain.hex()) for name, gain in entropy_rank_by_partition(view, labels)])

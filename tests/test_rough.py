@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import granulens
 from granulens import (
     ConceptSet,
     DataError,
@@ -92,6 +95,27 @@ class TestRegions:
         with pytest.raises((DataError, UniverseMismatchError)):
             regions(toy8_partition(toy8), [])
 
+    def test_labels_are_read_in_one_pass(self, toy8):
+        """The class order and the codes come from one pass over the labels."""
+        class Passes(list):
+            count = 0
+
+            def __iter__(self):
+                Passes.count += 1
+                return super().__iter__()
+
+        labels = Passes(toy8.decision_labels)
+        rep = regions(toy8_partition(toy8), labels)
+        assert Passes.count == 1
+        assert rep == regions(toy8_partition(toy8), toy8.decision_labels)
+        assert list(rep.per_class) == list(rep.negative_by_class) == ["0", "1"]
+
+    def test_length_is_checked_before_any_label_is_hashed(self, toy8):
+        with pytest.raises(UniverseMismatchError, match="^9 labels for a universe of 8$"):
+            regions(toy8_partition(toy8), [[0]] * 9)
+        with pytest.raises(DataError, match="^empty label set$"):
+            regions(Partition(np.zeros(0, dtype=np.int64)), [])
+
 
 class TestDependency:
     def test_toy8(self, toy8):
@@ -177,3 +201,15 @@ def test_mixed_blocks_are_those_without_a_class_holding_the_whole_block(seed):
     assert (_mixed(counts) == ~pure).all()
     if sizes.sum() > 0:
         assert region_fractions(counts)[0] == Fraction(sizes[pure].sum(), sizes.sum())
+
+
+def test_only_rough_builds_class_counts():
+    """Every (block x class) count is built in rough.py: no other module names
+    ``_class_counts``, by import, attribute or call."""
+    found = set()
+    for path in pathlib.Path(granulens.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if "_class_counts" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                   getattr(node, "name", None)):
+                found.add(path.name)
+    assert found == {"rough.py"}

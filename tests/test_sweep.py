@@ -120,6 +120,17 @@ class TestConvergenceSummary:
         summary = convergence_summary(SweepCurve(points, ("v",)))
         assert summary.monotonicity_violations > 0
 
+    def test_rounding_rise_is_not_a_violation(self):
+        """A rise of at most 1e-9 between levels is rounding; the summary takes no option."""
+        def curve(rise):
+            return SweepCurve([SweepPoint(0, 1, 0.5, 0.5, 0.5, 0.5),
+                               SweepPoint(1, 2, 0.5 + rise, 0.5, 0.5 + rise, 0.5)], ("v",))
+
+        assert convergence_summary(curve(1e-12)).monotonicity_violations == 0
+        assert convergence_summary(curve(1e-6)).monotonicity_violations == 1
+        with pytest.raises(TypeError):
+            convergence_summary(curve(0.0), tolerance=1e-3)
+
     def test_empty_curve_rejected(self):
         with pytest.raises(DataError):
             convergence_summary(SweepCurve([], ()))
