@@ -29,7 +29,6 @@ from .rough import (
     dependency,
 )
 from .entropy import (
-    Distribution,
     GranularEntropyReport,
     shannon,
     joint,
@@ -37,7 +36,7 @@ from .entropy import (
     granular_entropy,
     per_block,
 )
-from .sweep import SweepPoint, SweepCurve, ConvergenceSummary, sweep, convergence_summary
+from .sweep import SweepPoint, SweepCurve, sweep
 from .reduction import ReductResult, greedy_reduct, entropy_rank
 from .harness import (
     ModelRun,

@@ -23,7 +23,7 @@ from .errors import GranulensError
 from .table import load_table, discretize, partition_by, GranulationScheme
 from .rough import approximate, regions, ConceptSet
 from .entropy import granular_entropy, per_block
-from .sweep import sweep, convergence_summary
+from .sweep import sweep
 from .reduction import greedy_reduct, entropy_rank
 from .harness import load_run, evaluate_run, compare_runs
 from .curvefile import curve_to_csv, fmt
@@ -143,7 +143,7 @@ def write_atomic(path: str, data: str) -> None:
         mode = os.stat(real).st_mode if os.path.exists(real) else None
         if mode is not None and stat.S_IFMT(mode) not in (stat.S_IFREG, stat.S_IFDIR):
             raise OSError(errno.EINVAL, "Not a regular file")
-        with open(tmp, "x") as fh:  # created 0o666 under the umask
+        with open(tmp, "x", encoding="utf-8") as fh:  # created 0o666 under the umask
             if mode is not None:
                 os.fchmod(fh.fileno(), stat.S_IMODE(mode))
             fh.write(data)
@@ -224,16 +224,15 @@ def cmd_sweep(args, table) -> None:
     attrs = _attrs_list(args.attrs)
     lo, hi = args.bits
     curve = sweep(table, attrs, lo, hi)
-    summary = convergence_summary(curve)
     print(f"sweep attrs={','.join(attrs) or '(none)'} bits {lo}..{hi}: "
           f"{len(curve.points)} points"
           + (" (saturated early)" if curve.saturated else ""))
     for p in curve.points:
         print(f"  b={p.bits_level}: blocks={p.block_count} "
               f"H={fmt(p.conditional_bits)} BF={fmt(p.boundary_fraction)}")
-    print(f"  violations={summary.monotonicity_violations} "
-          f"terminal H={fmt(summary.terminal_entropy)} "
-          f"terminal BF={fmt(summary.terminal_boundary)}")
+    last = curve.points[-1]
+    print(f"  violations={curve.monotonicity_violations} "
+          f"terminal H={fmt(last.conditional_bits)} terminal BF={fmt(last.boundary_fraction)}")
     if args.format == "json":
         _emit_json(args, lambda: _json(curve.points))
     elif args.out is not None:

@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,30 +20,14 @@ from .table import Partition
 from .rough import _label_matrix, _mixed, region_fractions
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Category counts defining a discrete probability distribution."""
-
-    counts: dict
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    @classmethod
-    def from_tokens(cls, tokens: Iterable) -> "Distribution":
-        return cls(dict(Counter(tokens)))
-
-
-def shannon(dist: Distribution) -> float:
-    """H = -sum p_i log2 p_i over the distribution's support."""
-    total = dist.total
-    if total <= 0:
+def shannon(counts: Mapping) -> float:
+    """H = -sum p_i log2 p_i over a mapping of category to count (a dict or a Counter)."""
+    if sum(counts.values()) <= 0:
         raise DataError("cannot take entropy of an empty distribution")
-    if any(c < 0 for c in dist.counts.values()):
+    if any(c < 0 for c in counts.values()):
         raise DataError("negative count in distribution")
-    counts = [c for c in dist.counts.values() if c > 0]
-    _, h = _block_entropies(np.asarray([counts], dtype=np.int64))
+    positive = [c for c in counts.values() if c > 0]
+    _, h = _block_entropies(np.asarray([positive], dtype=np.int64))
     return max(0.0, float(h[0]))  # one class: +0.0, not the -0.0 of -1 * log2(1)
 
 
@@ -52,7 +36,7 @@ def joint(labels_x: Sequence, labels_y: Sequence) -> float:
     if len(labels_x) != len(labels_y):
         raise UniverseMismatchError(
             f"length mismatch: {len(labels_x)} vs {len(labels_y)}")
-    return shannon(Distribution.from_tokens(zip(labels_x, labels_y)))
+    return shannon(Counter(zip(labels_x, labels_y)))
 
 
 def _block_entropies(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

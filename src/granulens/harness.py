@@ -186,8 +186,10 @@ def compare_runs(reports: Sequence[EvalReport], tolerance: float = 0.005,
 
     Runs within ``tolerance`` of the best accuracy form the candidate band;
     candidates rank by (boundary_fraction, conditional_bits, block_count,
-    run_id) ascending, or entropy before boundary with
-    rank_by="entropy-first". Non-candidates follow, best accuracy first.
+    run_id, -accuracy) ascending, or entropy before boundary with
+    rank_by="entropy-first". Non-candidates follow by (-accuracy, run_id,
+    the same metrics, block_count). Each key holds every ranked field, so
+    runs that tie on it print alike and argument order cannot show.
     """
     if not reports:
         raise DataError("no reports to compare")
@@ -198,12 +200,12 @@ def compare_runs(reports: Sequence[EvalReport], tolerance: float = 0.005,
     band = max(r.accuracy for r in reports) - tolerance
 
     def key(r: EvalReport):  # False sorts first, so the band's runs lead
-        if r.accuracy < band:
-            return (True, -r.accuracy, r.run_id)
         metrics = ((r.model_boundary_fraction, r.model_conditional_bits)
                    if rank_by == "boundary-first"
                    else (r.model_conditional_bits, r.model_boundary_fraction))
-        return (False, *metrics, r.block_count, r.run_id)
+        if r.accuracy < band:
+            return (True, -r.accuracy, r.run_id, *metrics, r.block_count)
+        return (False, *metrics, r.block_count, r.run_id, -r.accuracy)
 
     ranked = [RankedRun(r.run_id, r.accuracy, r.model_boundary_fraction,
                         r.model_conditional_bits, r.block_count, bool(r.accuracy >= band))

@@ -43,12 +43,12 @@ class SweepCurve:
         """First bits level whose boundary fraction is <= threshold, if any."""
         return next((p.bits_level for p in self.points if p.boundary_fraction <= threshold), None)
 
-
-@dataclass(frozen=True)
-class ConvergenceSummary:
-    monotonicity_violations: int
-    terminal_entropy: float
-    terminal_boundary: float
+    @property
+    def monotonicity_violations(self) -> int:
+        """Levels at which H(D|P) or the boundary fraction rose by more than _RISE."""
+        return sum(cur.conditional_bits > prev.conditional_bits + _RISE
+                   or cur.boundary_fraction > prev.boundary_fraction + _RISE
+                   for prev, cur in zip(self.points, self.points[1:]))
 
 
 def _point_at(partition: Partition, decision_codes: np.ndarray, bits: int) -> SweepPoint:
@@ -91,16 +91,3 @@ def sweep(table: InformationTable, attrs: Sequence[str],
             break
     return SweepCurve(points, tuple(attrs), table_id=table.table_id,
                       saturated=part.block_count == table.n)
-
-
-def convergence_summary(curve: SweepCurve) -> ConvergenceSummary:
-    """Count monotonicity violations and report terminal values of a curve."""
-    if not curve.points:
-        raise DataError("empty curve")
-    violations = 0
-    for prev, cur in zip(curve.points, curve.points[1:]):
-        if (cur.conditional_bits > prev.conditional_bits + _RISE
-                or cur.boundary_fraction > prev.boundary_fraction + _RISE):
-            violations += 1
-    last = curve.points[-1]
-    return ConvergenceSummary(violations, last.conditional_bits, last.boundary_fraction)

@@ -55,7 +55,12 @@ class GranulationScheme:
     @classmethod
     def uniform(cls, table: "InformationTable", bits: int,
                 attrs: Sequence[str] | None = None) -> "GranulationScheme":
-        """Apply one bits level to every numeric attribute (or the given subset)."""
+        """Apply one bits level to every numeric attribute (or the given subset).
+        The level is checked first, so it is refused whichever attributes are named."""
+        if bits < 0:
+            raise DataError(f"negative bits {bits}")
+        if bits > 62:  # the missing-bin code 2**b must fit in int64
+            raise DataError(f"bits {bits} exceeds 62")
         names = attrs if attrs is not None else [a.name for a in table.attributes]
         return cls({n: bits for n in names if table.attribute(n).kind == "numeric"})
 
@@ -85,8 +90,9 @@ class InformationTable:
         lengths = set()
         for name, col in self._columns.items():
             if self._spec_by_name[name].kind == "numeric":
-                if not (isinstance(col, np.ndarray) and col.dtype == np.float64):
-                    raise DataError(f"numeric column {name!r} is not a float64 array")
+                if not (isinstance(col, np.ndarray) and col.dtype == np.float64 and col.ndim == 1):
+                    raise DataError(f"numeric column {name!r} is not a float64 array of one "
+                                    "dimension")
             elif not _is_coded(col):
                 raise DataError(f"categorical column {name!r} is not a pair of distinct "
                                 "tokens and their read-only int64 first-occurrence codes")

@@ -219,6 +219,27 @@ class TestOtherCommands:
         payload = json.loads(out.read_text())
         assert payload["selected"] == "memo"  # BF 0 beats BF 0.25 inside the band
 
+    def test_compare_ignores_argument_order_when_run_ids_repeat(self, tmp_path, toy8_file,
+                                                                toy8, capsys):
+        """Two runs named run, one prediction apart, same granules: the order is fixed."""
+        labels = toy8.decision_labels
+        granules = ["g0", "g0", "g1", "g1", "g2", "g2", "g2", "g2"]
+        paths = []
+        for sub, wrong in [("a", None), ("b", 7)]:
+            (tmp_path / sub).mkdir()
+            paths.append(tmp_path / sub / "run.csv")
+            paths[-1].write_text(run_csv(
+                [[i, "0" if i == wrong else labels[i], g] for i, g in enumerate(granules)],
+                header=("object_index", "predicted", "granule")))
+        outputs = []
+        for runs in (paths, paths[::-1]):
+            out = tmp_path / "verdict.json"
+            assert run_cli(["compare", str(toy8_file), *map(str, runs), "--decision", "d",
+                            "--tolerance", "0.5", "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert "acc=1.000000000" in outputs[0][0].splitlines()[1]
+
     def test_usage_error_exit_1(self, capsys):
         assert run_cli(["sweep"]) == 1
         assert run_cli(["bogus"]) == 1
@@ -270,10 +291,17 @@ class TestOtherCommands:
         assert "tolerance must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd", ["rough", "entropy", "reduce"])
-    def test_bits_above_62_exit_2(self, toy8_file, capsys, cmd):
-        attrs = [] if cmd == "reduce" else ["--attrs", "a2"]
-        assert run_cli([cmd, str(toy8_file), "--decision", "d", "--bits", "63", *attrs]) == 2
-        assert "exceeds 62" in capsys.readouterr().err
+    def test_bits_above_62_exit_2(self, tmp_path, toy8_file, capsys, cmd):
+        """A level outside 0..62 is refused whichever attributes are named."""
+        categorical = tmp_path / "categorical.csv"
+        categorical.write_text("a,d\nP,0\nQ,1\n")
+        for table, attrs in [(toy8_file, "a2"), (toy8_file, "a1"), (categorical, "a")]:
+            argv = [cmd, str(table), "--decision", "d"]
+            argv += [] if cmd == "reduce" else ["--attrs", attrs]
+            assert run_cli([*argv, "--bits", "63"]) == 2
+            assert "exceeds 62" in capsys.readouterr().err
+            assert run_cli([*argv, "--bits", "-1"]) == 2
+            assert "negative bits -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cmd, flag", [("sweep", "--out"), ("sweep", "--svg"),
                                            ("reduce", "--out")])

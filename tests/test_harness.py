@@ -156,19 +156,24 @@ class TestCompareRuns:
         assert compare_runs([a, b], rank_by="entropy-first").selected == "B"
 
     def test_order_invariance_and_band_soundness(self):
+        """Run ids repeat and metrics tie: no argument order shows in the verdict."""
         rng = random.Random(17)
-        for _ in range(50):
-            reports = [_report(f"r{i}", round(rng.random(), 3),
-                               round(rng.random(), 3), h=round(rng.random(), 3),
-                               blocks=rng.randint(1, 50))
-                       for i in range(rng.randint(1, 8))]
-            verdict = compare_runs(reports)
+        for _ in range(200):
+            value = rng.choice([rng.random, lambda: rng.choice([0.25, 0.5])])
+            reports = [_report(f"r{rng.randrange(3)}", round(value(), 3),
+                               round(value(), 3), h=round(value(), 3),
+                               blocks=rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 8))]
+            tolerance = rng.choice([0.0, 0.005, 0.5])
+            rank_by = rng.choice(["boundary-first", "entropy-first"])
+            verdict = compare_runs(reports, tolerance, rank_by)
             best = max(r.accuracy for r in reports)
-            chosen = next(r for r in reports if r.run_id == verdict.selected)
+            chosen = verdict.ranked[0]
+            assert chosen.run_id == verdict.selected
             assert chosen.accuracy >= best - verdict.tolerance_used
             shuffled = reports[:]
             rng.shuffle(shuffled)
-            assert compare_runs(shuffled) == verdict
+            assert compare_runs(shuffled, tolerance, rank_by) == verdict
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):

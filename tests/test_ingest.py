@@ -217,6 +217,19 @@ class TestNonFiniteAndNan:
         table = InformationTable(specs, {"x": x, "d": (["q", "p"], codes([0, 1]))}, "d")
         assert table.decision_labels == ["q", "p"] and table.column("d") == table.decision_labels
 
+    @pytest.mark.parametrize("shape", [(4, 2), (8, 1), ()])
+    def test_numeric_column_must_be_one_dimensional(self, shape):
+        x = np.arange(8.0).reshape(shape) if shape else np.array(3.0)
+        d = list("xxyyxxyy")[:len(x) if x.ndim else 1]
+        message = "numeric column 'a' is not a float64 array of one dimension"
+        with pytest.raises(DataError, match=message):
+            InformationTable.from_columns({"a": x, "d": d}, "d")
+        codes = np.zeros(len(d), dtype=np.int64)
+        codes.flags.writeable = False
+        with pytest.raises(DataError, match=message):
+            InformationTable([AttributeSpec("a", "numeric"), AttributeSpec("d", "categorical")],
+                             {"a": x, "d": (["x"], codes)}, "d")
+
     def test_unhashable_categorical_cell_is_data_error(self):
         with pytest.raises(DataError, match="categorical column 'c' has an unhashable cell"):
             InformationTable.from_columns({"c": [[1], [2]], "d": ["p", "q"]}, "d")

@@ -11,7 +11,6 @@ from granulens import (
     Partition,
     SweepCurve,
     SweepPoint,
-    convergence_summary,
     load_table,
     sweep,
 )
@@ -101,15 +100,13 @@ class TestSweep:
 class TestConvergenceSummary:
     def test_toy8(self, toy8):
         curve = sweep(toy8, ["a2"], 0, 3)
-        summary = convergence_summary(curve)
-        assert summary.monotonicity_violations == 0
-        assert summary.terminal_entropy == 0.0
-        assert summary.terminal_boundary == 0.0
+        assert curve.monotonicity_violations == 0
+        assert curve.points[-1].conditional_bits == 0.0
+        assert curve.points[-1].boundary_fraction == 0.0
         assert curve.level_where_boundary_below(0.3) == 2
 
     def test_single_point(self, toy8):
-        summary = convergence_summary(sweep(toy8, ["a2"], 1, 1))
-        assert summary.monotonicity_violations == 0
+        assert sweep(toy8, ["a2"], 1, 1).monotonicity_violations == 0
 
     def test_shuffled_curve_counts_violations(self):
         points = [
@@ -117,23 +114,19 @@ class TestConvergenceSummary:
             SweepPoint(1, 2, 0.9, 0.9, 0.8, 0.2),
             SweepPoint(2, 4, 0.1, 0.1, 0.1, 0.9),
         ]
-        summary = convergence_summary(SweepCurve(points, ("v",)))
-        assert summary.monotonicity_violations > 0
+        assert SweepCurve(points, ("v",)).monotonicity_violations > 0
 
     def test_rounding_rise_is_not_a_violation(self):
-        """A rise of at most 1e-9 between levels is rounding; the summary takes no option."""
+        """A rise of at most 1e-9 between levels is rounding, not a violation."""
         def curve(rise):
             return SweepCurve([SweepPoint(0, 1, 0.5, 0.5, 0.5, 0.5),
                                SweepPoint(1, 2, 0.5 + rise, 0.5, 0.5 + rise, 0.5)], ("v",))
 
-        assert convergence_summary(curve(1e-12)).monotonicity_violations == 0
-        assert convergence_summary(curve(1e-6)).monotonicity_violations == 1
-        with pytest.raises(TypeError):
-            convergence_summary(curve(0.0), tolerance=1e-3)
+        assert curve(1e-12).monotonicity_violations == 0
+        assert curve(1e-6).monotonicity_violations == 1
 
-    def test_empty_curve_rejected(self):
-        with pytest.raises(DataError):
-            convergence_summary(SweepCurve([], ()))
+    def test_empty_curve_has_no_violations(self):
+        assert SweepCurve([], ()).monotonicity_violations == 0
 
     def test_never_below_threshold(self, toy8):
         curve = sweep(toy8, ["a2"], 0, 0)
