@@ -1,5 +1,6 @@
 """granulens: granular data analysis via rough sets and Shannon entropy."""
 
+import gc
 import os
 import sys
 
@@ -7,6 +8,7 @@ import sys
 if (sys.orig_argv[-len(sys.argv):][:1] == ["granulens.cli"]  # python -m granulens.cli
         or os.path.basename((sys.argv or [""])[0]) == "granulens"):  # the console script
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # numpy, imported below, reads it once
+    gc.disable()  # collecting while it imports frees nothing it needs; cli.main() re-enables it
 
 from .errors import GranulensError, DataError, UniverseMismatchError
 from .table import (

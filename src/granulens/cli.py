@@ -1,15 +1,16 @@
 """Command-line surface: granulens <subcommand> over the library.
 
-Exit codes: 0 success, 1 usage error, 2 data/file error. Human-readable
-summaries go to stdout; machine output is written only to --out/--svg
-paths, atomically (temp file + rename). The library returns text; this is
-the one module that reads or writes a file.
+Exit codes: 0 success, 1 usage error, 2 data/file error or a failed write
+to stdout. Human-readable summaries go to stdout; machine output is written
+only to --out/--svg paths, atomically (temp file + rename). The library
+returns text; this is the one module that reads or writes a file.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import os
 import re
@@ -302,7 +303,20 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    """Run the command, flush stdout and stderr, and end the process without the interpreter's
+    teardown, so no atexit handler runs. Programs that run a command in process call ``run_cli``."""
+    gc.freeze()  # later collections skip what the imports made: none of it is freed
+    gc.enable()
+    code = run_cli(sys.argv[1:])
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:  # a full disk or a closed pipe
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)  # every output file is closed and renamed by now
 
 
 if __name__ == "__main__":

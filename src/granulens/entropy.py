@@ -21,7 +21,10 @@ from .rough import _label_matrix, _mixed, region_fractions
 
 
 def shannon(counts: Mapping) -> float:
-    """H = -sum p_i log2 p_i over a mapping of category to count (a dict or a Counter)."""
+    """H = -sum p_i log2 p_i over a mapping of category to count (a dict or a Counter).
+    A count is an int or a numpy integer: 0.5, NaN and inf are refused, not truncated."""
+    if not all(isinstance(c, (int, np.integer)) for c in counts.values()):
+        raise DataError("non-integer count in distribution")
     if sum(counts.values()) <= 0:
         raise DataError("cannot take entropy of an empty distribution")
     if any(c < 0 for c in counts.values()):

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError
-from .table import (InformationTable, GranulationScheme, Partition, discretize,
+from .table import (InformationTable, GranulationScheme, Partition, _level, discretize,
                     partition_by, refine)
 from .entropy import granular_entropy
 
@@ -38,10 +38,6 @@ class SweepCurve:
     attrs: tuple[str, ...]
     table_id: str = ""
     saturated: bool = False
-
-    def level_where_boundary_below(self, threshold: float) -> int | None:
-        """First bits level whose boundary fraction is <= threshold, if any."""
-        return next((p.bits_level for p in self.points if p.boundary_fraction <= threshold), None)
 
     @property
     def monotonicity_violations(self) -> int:
@@ -70,6 +66,9 @@ def sweep(table: InformationTable, attrs: Sequence[str],
     computes no later level, and marks the curve saturated. ``threads`` is
     accepted for compatibility and has no effect.
     """
+    if isinstance(attrs, str):
+        raise DataError(f"attrs is a string, not a sequence of names: {attrs!r}")
+    bits_from, bits_to = _level(bits_from), _level(bits_to)
     if not (0 <= bits_from <= bits_to <= MAX_BITS):
         raise DataError(f"invalid bits range {bits_from}..{bits_to} "
                         f"(need 0 <= from <= to <= {MAX_BITS})")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -46,6 +47,14 @@ class AttributeSpec:
     observed_range: tuple[float, float] | None = None  # numeric only
 
 
+def _level(bits) -> int:
+    """A bits level as an int: a numpy integer passes, a float is refused."""
+    try:
+        return operator.index(bits)
+    except TypeError:
+        raise DataError(f"bits level {bits!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class GranulationScheme:
     """Per-attribute bit precision; numeric attribute with b bits gets 2**b bins."""
@@ -57,6 +66,7 @@ class GranulationScheme:
                 attrs: Sequence[str] | None = None) -> "GranulationScheme":
         """Apply one bits level to every numeric attribute (or the given subset).
         The level is checked first, so it is refused whichever attributes are named."""
+        bits = _level(bits)
         if bits < 0:
             raise DataError(f"negative bits {bits}")
         if bits > 62:  # the missing-bin code 2**b must fit in int64
@@ -379,7 +389,7 @@ def discretize(table: InformationTable, scheme: GranulationScheme) -> DiscreteVi
         spec = table.attribute(name)
         if spec.kind != "numeric":
             raise DataError(f"scheme references non-numeric attribute {name!r}")
-        if b < 0:
+        if _level(b) < 0:
             raise DataError(f"negative bits for attribute {name!r}")
         if b > 62:  # the missing-bin code 2**b must fit in int64
             raise DataError(f"bits {b} for attribute {name!r} exceeds 62")
@@ -423,17 +433,6 @@ class Partition:
         self.block_of = np.asarray(block_of, dtype=np.int64)
         self.n = len(self.block_of)
         self.block_count = int(self.block_of.max()) + 1 if self.n else 0
-
-    def refines(self, other: "Partition") -> bool:
-        """True iff every block of self lies within a single block of other."""
-        if self.n != other.n:
-            return False
-        pairs = np.unique(self.block_of * other.block_count + other.block_of)
-        return len(pairs) == self.block_count
-
-    @classmethod
-    def from_labels(cls, labels: Iterable) -> "Partition":
-        return cls(factorize(labels))
 
     @classmethod
     def single_block(cls, n: int) -> "Partition":

@@ -18,7 +18,9 @@ the times a loader reads by it. ``read_columns_chunked`` is the csv path's
 reader as it was before its one pass: it transposed 256 records at a time.
 ``payload_by_hand`` builds each report's ``--out`` JSON payload the way the
 CLI did before one converter built them all: field by field, rounding each
-float and Fraction with ``_r9``.
+float and Fraction with ``_r9``. ``partition_from_labels``, ``refines`` and
+``level_where_boundary_below`` build a partition from labels, test refinement by
+packed pairs and read a curve's first level under a boundary fraction, for tests only.
 """
 
 import csv
@@ -216,6 +218,11 @@ def point_from_scratch(table, attrs, bits) -> SweepPoint:
                       report.normalized_conditional, float(bf), float(gamma))
 
 
+def level_where_boundary_below(curve, threshold):
+    """First bits level of ``curve`` whose boundary fraction is <= threshold, if any."""
+    return next((p.bits_level for p in curve.points if p.boundary_fraction <= threshold), None)
+
+
 def sweep_from_scratch(table, attrs, bits_from, bits_to):
     """(points, saturated): each level rebuilt independently, stopping at saturation."""
     points = []
@@ -239,8 +246,22 @@ def run_csv(rows, run_id=None, meta=None, header=("object_index", "predicted")):
     return buf.getvalue()
 
 
+def partition_from_labels(labels):
+    """The partition whose blocks hold the objects of one label each."""
+    return Partition(factorize(labels))
+
+
+def refines(fine, coarse):
+    """True iff every block of ``fine`` lies within a single block of ``coarse``,
+    by one ``np.unique`` over each object's (fine, coarse) pair."""
+    if fine.n != coarse.n:
+        return False
+    pairs = np.unique(fine.block_of * coarse.block_count + coarse.block_of)
+    return len(pairs) == fine.block_count
+
+
 def refines_by_loop(fine, coarse):
-    """Partition.refines object by object: each block of ``fine`` keeps one owner."""
+    """``refines`` object by object: each block of ``fine`` keeps one owner."""
     if fine.n != coarse.n:
         return False
     owner = np.full(fine.block_count, -1, dtype=np.int64)
@@ -377,7 +398,7 @@ def evaluate_run_on_tokens(table, run, labels=None):
     truth = table.decision_labels if labels is None else labels
     correct = sum(1 for p, t in zip(run.predicted, truth) if str(p) == str(t))
     fallback = run.granule is None
-    part = Partition.from_labels(run.predicted if fallback else run.granule)
+    part = partition_from_labels(run.predicted if fallback else run.granule)
     report = granular_entropy(part, truth)
     gamma, bf = region_fractions(_label_matrix(part, truth))
     return EvalReport(run.run_id, correct / table.n, report.conditional_bits,

@@ -41,6 +41,7 @@ from helpers import (
     random_attr_subset,
     random_table,
     random_view,
+    refines,
 )
 from test_reduction import _consistent_table
 
@@ -116,7 +117,7 @@ def test_criterion_3_refinement_monotonicity():
             discretize(table, GranulationScheme({a: b for a in numeric})), attrs)
         fine = partition_by(
             discretize(table, GranulationScheme({a: bp for a in numeric})), attrs)
-        assert fine.refines(coarse)
+        assert refines(fine, coarse)
         labels = table.decision_labels
         assert conditional(labels, fine) <= conditional(labels, coarse) + TOL
         bf_fine = regions(fine, labels).boundary_fraction

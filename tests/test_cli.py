@@ -37,7 +37,7 @@ from helpers import (payload_by_hand, random_attr_subset, random_table, random_v
 @pytest.fixture
 def toy8_file(tmp_path, toy8_csv):
     path = tmp_path / "toy8.csv"
-    path.write_text(toy8_csv)
+    path.write_text(toy8_csv, encoding="utf-8")
     return path
 
 
@@ -48,7 +48,7 @@ class TestSweepCommand:
                         "--attrs", "a2", "--bits", "0..3", "--out", str(out)])
         assert code == 0
         assert "4 points" in capsys.readouterr().out
-        text = out.read_text()
+        text = out.read_text(encoding="utf-8")
         assert text.count("\n") == 5  # header + 4 rows
         curve = read_curve(text)
         table = load_table(toy8_file.read_bytes(), "d")
@@ -74,7 +74,7 @@ class TestSweepCommand:
                         "--attrs", "a2", "--bits", "0..2",
                         "--format", "json", "--out", str(out)])
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert [p["bits_level"] for p in payload] == [0, 1, 2]
         assert payload[2]["boundary_fraction"] == 0.25
 
@@ -139,7 +139,7 @@ class TestRoughCommand:
         code = run_cli(["rough", str(toy8_file), "--decision", "d",
                         "--attrs", "a1", "--out", str(out)])
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["gamma"] == 0.75
         assert payload["boundary_overall"] == [2, 3]
         assert payload["per_class"]["1"]["lower"] == [4, 5, 6, 7]
@@ -206,17 +206,17 @@ class TestOtherCommands:
         good = tmp_path / "good.csv"
         good.write_text(run_csv([[i, labels[i], g] for i, g in
                                  enumerate(["g0", "g0", "g1", "g1", "g2", "g2", "g2", "g2"])],
-                                header=("object_index", "predicted", "granule")))
+                                header=("object_index", "predicted", "granule")), encoding="utf-8")
         memo = tmp_path / "memo.csv"
         memo.write_text(run_csv([[i, labels[i], f"s{i}"] for i in range(8)],
-                                header=("object_index", "predicted", "granule")))
+                                header=("object_index", "predicted", "granule")), encoding="utf-8")
         assert run_cli(["evaluate", str(toy8_file), str(good), "--decision", "d"]) == 0
         assert "accuracy=1.000000000" in capsys.readouterr().out
 
         out = tmp_path / "verdict.json"
         assert run_cli(["compare", str(toy8_file), str(good), str(memo),
                         "--decision", "d", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["selected"] == "memo"  # BF 0 beats BF 0.25 inside the band
 
     def test_compare_ignores_argument_order_when_run_ids_repeat(self, tmp_path, toy8_file,
@@ -230,7 +230,7 @@ class TestOtherCommands:
             paths.append(tmp_path / sub / "run.csv")
             paths[-1].write_text(run_csv(
                 [[i, "0" if i == wrong else labels[i], g] for i, g in enumerate(granules)],
-                header=("object_index", "predicted", "granule")))
+                header=("object_index", "predicted", "granule")), encoding="utf-8")
         outputs = []
         for runs in (paths, paths[::-1]):
             out = tmp_path / "verdict.json"
@@ -265,7 +265,7 @@ class TestOtherCommands:
 
     def test_bad_data_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("a,d\n1,0,9\n")
+        bad.write_text("a,d\n1,0,9\n", encoding="utf-8")
         assert run_cli(["inspect", str(bad), "--decision", "d"]) == 2
         assert "ragged" in capsys.readouterr().err
 
@@ -285,7 +285,8 @@ class TestOtherCommands:
     @pytest.mark.parametrize("tolerance", ["nan", "-1", "-inf", "-nan", "-1e-3", "-Infinity"])
     def test_bad_tolerance_exit_2(self, tmp_path, toy8_file, toy8, capsys, tolerance):
         run = tmp_path / "run.csv"
-        run.write_text(run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]))
+        run.write_text(run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]),
+                       encoding="utf-8")
         assert run_cli(["compare", str(toy8_file), str(run), "--decision", "d",
                         "--tolerance", tolerance]) == 2
         assert "tolerance must be finite" in capsys.readouterr().err
@@ -294,7 +295,7 @@ class TestOtherCommands:
     def test_bits_above_62_exit_2(self, tmp_path, toy8_file, capsys, cmd):
         """A level outside 0..62 is refused whichever attributes are named."""
         categorical = tmp_path / "categorical.csv"
-        categorical.write_text("a,d\nP,0\nQ,1\n")
+        categorical.write_text("a,d\nP,0\nQ,1\n", encoding="utf-8")
         for table, attrs in [(toy8_file, "a2"), (toy8_file, "a1"), (categorical, "a")]:
             argv = [cmd, str(table), "--decision", "d"]
             argv += [] if cmd == "reduce" else ["--attrs", attrs]
@@ -328,7 +329,7 @@ class TestOutputFiles:
                                            ("reduce", "--out")])
     def test_symlink_is_written_through(self, tmp_path, toy8_file, cmd, flag):
         assert self._run(toy8_file, cmd, flag, tmp_path / "plain") == 0
-        (tmp_path / "target").write_text("old")
+        (tmp_path / "target").write_text("old", encoding="utf-8")
         link = tmp_path / "link"
         link.symlink_to("target")
         assert self._run(toy8_file, cmd, flag, link) == 0
@@ -347,14 +348,14 @@ class TestOutputFiles:
     @pytest.mark.parametrize("mode", [0o600, 0o640], ids=oct)
     def test_existing_file_keeps_its_mode(self, tmp_path, toy8_file, mode):
         out = tmp_path / "r.json"
-        out.write_text("old")
+        out.write_text("old", encoding="utf-8")
         out.chmod(mode)
         old = os.umask(0o022)
         try:
             assert self._run(toy8_file, "reduce", "--out", out) == 0
         finally:
             os.umask(old)
-        assert stat.S_IMODE(out.stat().st_mode) == mode and out.read_text() != "old"
+        assert stat.S_IMODE(out.stat().st_mode) == mode and out.read_text(encoding="utf-8") != "old"
 
     @pytest.mark.parametrize("cmd, flag", [("sweep", "--out"), ("sweep", "--svg"),
                                            ("reduce", "--out")])
@@ -389,11 +390,12 @@ def test_report_keys_are_record_fields(tmp_path, toy8_file, toy8, argv, keys, in
     extras; ``keys`` None is a list of records. ``inner`` says where a report's
     nested records sit and their type."""
     for name in ("run.csv", "memo.csv"):
-        (tmp_path / name).write_text(run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]))
+        (tmp_path / name).write_text(run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]),
+                                     encoding="utf-8")
     out = tmp_path / "report.json"
     paths = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv[1:]]
     assert run_cli([argv[0], str(toy8_file), *paths, "--decision", "d", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(encoding="utf-8"))
     if keys is not None:
         assert list(payload) == keys
     if inner is not None:
@@ -415,7 +417,7 @@ class TestEmptyPath:
     def here(self, tmp_path, toy8_file, toy8, monkeypatch):
         """Runs from tmp_path/here, beside toy8.csv and run.csv; yields how to run a command."""
         (tmp_path / "run.csv").write_text(
-            run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]))
+            run_csv([[i, t] for i, t in enumerate(toy8.decision_labels)]), encoding="utf-8")
         (tmp_path / "here").mkdir()
         monkeypatch.chdir(tmp_path / "here")
 
@@ -492,12 +494,12 @@ def test_every_traced_name_is_a_function(module, name):
 
 def test_sweep_range_wider_than_dbl_max_splits_under_warnings_as_errors(tmp_path):
     table = tmp_path / "wide.csv"
-    table.write_text("a,d\n-1e308,x\n0,y\n1e308,z\n")
+    table.write_text("a,d\n-1e308,x\n0,y\n1e308,z\n", encoding="utf-8")
     src = str(pathlib.Path(granulens.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-W", "error", "-m", "granulens.cli", "sweep",
                            str(table), "--decision", "d", "--attrs", "a", "--bits", "0..4"],
                           env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                          text=True, timeout=120)
+                          encoding="utf-8", timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert "b=1: blocks=2 " in done.stdout
     assert "b=2: blocks=3 H=0.000000000 BF=0.000000000" in done.stdout
@@ -546,8 +548,8 @@ def test_cli_argv_exits_cleanly(tmp_path, toy8_csv, argv):
     """Any argv of the grammar exits 0, 1 or 2, with no traceback and no temp file
     left; one naming an empty path fails, leaving the working directory empty."""
     work = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
-    (work / "toy8.csv").write_text(toy8_csv)
-    (work / "run.csv").write_text(run_csv([[i, i % 2] for i in range(8)]))
+    (work / "toy8.csv").write_text(toy8_csv, encoding="utf-8")
+    (work / "run.csv").write_text(run_csv([[i, i % 2] for i in range(8)]), encoding="utf-8")
     (work / "taken").mkdir()
     (work / "link").symlink_to("linked")
     os.mkfifo(work / "fifo")
@@ -601,7 +603,7 @@ class TestSvg:
         svg = tmp_path / "chart.svg"
         assert run_cli(["sweep", str(toy8_file), "--decision", "d", "--attrs", "a2",
                         "--bits", "0..3", "--svg", str(svg)]) == 0
-        assert svg.read_text().startswith("<?xml")
+        assert svg.read_text(encoding="utf-8").startswith("<?xml")
 
 
 def test_readme_library_example_runs(monkeypatch):

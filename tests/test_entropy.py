@@ -32,8 +32,8 @@ from granulens import (
 )
 from granulens.cli import run_cli
 
-from helpers import (granular_entropy_by_dot, random_attr_subset, random_table,
-                     random_view, shannon_by_loop)
+from helpers import (granular_entropy_by_dot, partition_from_labels, random_attr_subset,
+                     random_table, random_view, shannon_by_loop)
 
 TOL = 1e-9
 
@@ -70,6 +70,13 @@ class TestShannon:
         with pytest.raises(DataError, match="negative count in distribution"):
             shannon({"A": 3, "B": -1})
 
+    @pytest.mark.parametrize("count", [0.5, 1.5, 2.0, math.nan, math.inf, np.float64(1), "1"])
+    def test_count_that_is_not_an_integer_rejected(self, count):
+        """Not truncated (1:0.5 is not read as 1:0), and NaN does not pass as a count."""
+        with pytest.raises(DataError, match="non-integer count in distribution"):
+            shannon({"A": 1, "B": count})
+        assert shannon({"A": np.int64(1), "B": np.uint8(1)}) == 1.0
+
 
 class TestJoint:
     def test_toy8_a1_d(self, toy8):
@@ -99,7 +106,7 @@ class TestConditional:
         assert conditional(["k"] * 8, part) == 0.0
 
     def test_singleton_partition(self, toy8):
-        part = Partition.from_labels(range(8))
+        part = partition_from_labels(range(8))
         assert conditional(toy8.decision_labels, part) == 0.0
 
     def test_universe_mismatch(self, toy8):
@@ -119,7 +126,7 @@ class TestGranularEntropy:
         assert rep.normalized_conditional == pytest.approx(0.25, abs=TOL)
 
     def test_pure_partition(self, toy8):
-        part = Partition.from_labels(toy8.decision_labels)
+        part = partition_from_labels(toy8.decision_labels)
         rep = granular_entropy(part, toy8.decision_labels)
         assert rep.conditional_bits == 0.0
         assert rep.boundary_fraction == 0
@@ -181,7 +188,7 @@ def partition_with_labels(seed):
     pure = rng.random()
     block_class = [rng.randrange(k) for _ in range(blocks)]
     labels = [block_class[b] if rng.random() < pure else rng.randrange(k) for b in block_of]
-    return Partition.from_labels(block_of), [f"k{c}" for c in labels]
+    return partition_from_labels(block_of), [f"k{c}" for c in labels]
 
 
 class TestConditionalBitsSum:
@@ -211,7 +218,7 @@ class TestConditionalBitsSum:
 
     @pytest.mark.parametrize("labels", [list("aabbbcdd"), ["k"] * 8])
     def test_pure_partition_is_positive_zero(self, labels):
-        for part in (Partition.from_labels(labels), Partition.from_labels(range(8))):
+        for part in (partition_from_labels(labels), partition_from_labels(range(8))):
             h = granular_entropy(part, labels).conditional_bits
             assert h == 0.0 and math.copysign(1.0, h) == 1.0
             assert math.copysign(1.0, conditional(labels, part)) == 1.0
@@ -292,6 +299,6 @@ def test_conditional_bits_do_not_depend_on_blas_threads():
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         done = subprocess.run([sys.executable, "-c", _BIG_PARTITION_H], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
+                              capture_output=True, encoding="utf-8", timeout=120, check=True)
         outputs.add(done.stdout)
     assert len(outputs) == 1, outputs

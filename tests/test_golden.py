@@ -104,7 +104,7 @@ def _write_runs(directory, table_path, decision):
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["object_index", "predicted", "granule"][:len(rows[0])])
         writer.writerows(rows[::-1])  # object_index need not be in order
-        (directory / name).write_text(buf.getvalue())
+        (directory / name).write_text(buf.getvalue(), encoding="utf-8")
 
 
 def _argv(directory, table, case):

@@ -241,7 +241,7 @@ class TestNonFiniteAndNan:
 
     def test_cli_reports_infinity_with_exit_2(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
-        path.write_text("x,d\n1,p\n1e999,q\n")
+        path.write_text("x,d\n1,p\n1e999,q\n", encoding="utf-8")
         assert run_cli(["inspect", str(path), "--decision", "d"]) == 2
         err = capsys.readouterr().err
         assert "column 'x' has non-finite value inf at line 3" in err
@@ -249,7 +249,7 @@ class TestNonFiniteAndNan:
 
     def test_cli_nan_range_is_position_independent(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
-        path.write_text("x,d\nnan,p\n3,q\n1,p\n")
+        path.write_text("x,d\nnan,p\n3,q\n1,p\n", encoding="utf-8")
         assert run_cli(["inspect", str(path), "--decision", "d"]) == 0
         assert "x: numeric range [1, 3]" in capsys.readouterr().out
 
@@ -326,9 +326,9 @@ class TestRunFaults:
 
     def test_cli_rejects_granule_typo_with_exit_2(self, tmp_path, capsys):
         table = tmp_path / "t.csv"
-        table.write_text("a,d\n1,p\n2,q\n")
+        table.write_text("a,d\n1,p\n2,q\n", encoding="utf-8")
         run = tmp_path / "r.csv"
-        run.write_text("object_index,predicted,granules\n0,p,g0\n1,q,g1\n")
+        run.write_text("object_index,predicted,granules\n0,p,g0\n1,q,g1\n", encoding="utf-8")
         assert run_cli(["evaluate", str(table), str(run), "--decision", "d"]) == 2
         assert "unexpected run column 'granules'" in capsys.readouterr().err
 
@@ -477,7 +477,7 @@ class TestRunCellsKeepLineBreakCharacters:
 
     def test_cli_evaluates_run_with_line_break_cells(self, tmp_path, toy8_csv, capsys):
         table = tmp_path / "t.csv"
-        table.write_text(toy8_csv)
+        table.write_text(toy8_csv, encoding="utf-8")
         run = tmp_path / "r.csv"
         text = _run_with_cell(2, '"g\x85y"', directive="# run_id=r7\r\n")
         run.write_bytes(text.replace("0,0,g0\n", "0,0\x85,g0\n").encode())
@@ -560,13 +560,13 @@ class TestCsvModuleErrors:
         table.write_bytes(b"a,d\r1,x\r2,y\r")
         assert run_cli(["inspect", str(table), "--decision", "d"]) == 0
         assert "n=2" in capsys.readouterr().out
-        table.write_text("a,d\n1,p\n" + self.BIG + ",q\n")
+        table.write_text("a,d\n1,p\n" + self.BIG + ",q\n", encoding="utf-8")
         assert run_cli(["inspect", str(table), "--decision", "d"]) == 2
         err = capsys.readouterr().err
         assert "line 3: field larger than field limit" in err and "Traceback" not in err
-        table.write_text(toy8_csv)
+        table.write_text(toy8_csv, encoding="utf-8")
         run = tmp_path / "r.csv"
-        run.write_text(_run_with_cell(2, self.BIG))
+        run.write_text(_run_with_cell(2, self.BIG), encoding="utf-8")
         assert run_cli(["evaluate", str(table), str(run), "--decision", "d"]) == 2
         assert "line 5: field larger than field limit" in capsys.readouterr().err
 
@@ -1168,8 +1168,8 @@ class TestRunByteReaderPath:
         text = _run_under(header, toy8)
         got = _run_read_alike(text, toy8, int(len(header) < 2))  # scan needs 2 columns
         assert got.startswith(f"DataError: {message}")
-        (tmp_path / "t.csv").write_text(toy8_csv)
-        (tmp_path / "r.csv").write_text(text)
+        (tmp_path / "t.csv").write_text(toy8_csv, encoding="utf-8")
+        (tmp_path / "r.csv").write_text(text, encoding="utf-8")
         assert run_cli(["evaluate", str(tmp_path / "t.csv"), str(tmp_path / "r.csv"),
                         "--decision", "d"]) == 2
         err = capsys.readouterr().err

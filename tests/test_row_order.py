@@ -67,11 +67,12 @@ def shuffled_inputs(draw):
 
 def _write(work, names, rows, runs):
     work.mkdir()
-    (work / "t.csv").write_text("\n".join(",".join(r) for r in [names] + rows) + "\n")
+    (work / "t.csv").write_text("\n".join(",".join(r) for r in [names] + rows) + "\n",
+                                encoding="utf-8")
     for r, run in enumerate(runs):
         header = ["object_index", "predicted", "granule"][:len(run[0])]
         lines = [",".join(header)] + [",".join(map(str, row)) for row in run]
-        (work / f"run{r}.csv").write_text("\n".join(lines) + "\n")
+        (work / f"run{r}.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _objects(value, back):

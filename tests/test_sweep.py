@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from granulens import (
     DataError,
-    Partition,
     SweepCurve,
     SweepPoint,
     load_table,
@@ -16,7 +15,8 @@ from granulens import (
 )
 from granulens.table import refine
 
-from helpers import random_sweep_table, random_table, refine_packed, sweep_from_scratch
+from helpers import (level_where_boundary_below, partition_from_labels, random_sweep_table,
+                     random_table, refine_packed, sweep_from_scratch)
 
 TOL = 1e-9
 
@@ -67,6 +67,16 @@ class TestSweep:
         with pytest.raises(DataError, match="cannot sweep over the decision attribute"):
             sweep(toy8, ["nope", "d"], 0, 2)  # checked before the names
 
+    def test_attrs_string_and_float_levels_rejected(self, toy8):
+        """A str is not iterated as names ('unknown attribute 'a''), and a float level is a
+        DataError, not a TypeError from range(). A numpy integer level is an int."""
+        with pytest.raises(DataError, match="attrs is a string"):
+            sweep(toy8, "a2", 0, 2)
+        for lo, hi in [(0, 2.5), (0.5, 2), (0, 2.0)]:
+            with pytest.raises(DataError, match="is not an integer"):
+                sweep(toy8, ["a2"], lo, hi)
+        assert sweep(toy8, ["a2"], np.int64(0), np.uint8(3)) == sweep(toy8, ["a2"], 0, 3)
+
     def test_empty_attrs_single_block_baseline(self, toy8):
         curve = sweep(toy8, [], 0, 2)
         assert all(p.block_count == 1 for p in curve.points)
@@ -103,7 +113,7 @@ class TestConvergenceSummary:
         assert curve.monotonicity_violations == 0
         assert curve.points[-1].conditional_bits == 0.0
         assert curve.points[-1].boundary_fraction == 0.0
-        assert curve.level_where_boundary_below(0.3) == 2
+        assert level_where_boundary_below(curve, 0.3) == 2
 
     def test_single_point(self, toy8):
         assert sweep(toy8, ["a2"], 1, 1).monotonicity_violations == 0
@@ -130,7 +140,7 @@ class TestConvergenceSummary:
 
     def test_never_below_threshold(self, toy8):
         curve = sweep(toy8, ["a2"], 0, 0)
-        assert curve.level_where_boundary_below(0.5) is None
+        assert level_where_boundary_below(curve, 0.5) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -209,7 +219,7 @@ def test_sweep_matches_oracle_on_72_numeric_columns(bits_from):
 def test_masked_refine_matches_packed_key_oracle(seed, n, width, count):
     """The sweep's refine(part, [code & mask]) against its former packed-key routine."""
     rng = np.random.default_rng(seed)
-    start = Partition.from_labels(rng.integers(0, rng.integers(1, n + 1), size=n))
+    start = partition_from_labels(rng.integers(0, rng.integers(1, n + 1), size=n))
     columns = list(rng.integers(0, 2**25 + 1, size=(count, n)))
     mask = (1 << width) - 1
     got = refine(start, [c & mask for c in columns])

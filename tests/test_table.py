@@ -20,8 +20,8 @@ from granulens import (
 from granulens.table import refine
 
 from conftest import DATA_DIR
-from helpers import (blocks_of, partition_by_fold, random_attr_subset, random_table,
-                     random_view, refine_by_fold, refines_by_loop)
+from helpers import (blocks_of, partition_by_fold, partition_from_labels, random_attr_subset,
+                     random_table, random_view, refine_by_fold, refines, refines_by_loop)
 
 
 class TestLoadTable:
@@ -140,6 +140,15 @@ class TestDiscretize:
                  for b in range(4)]
         assert codes == [[0, 0, 0], [0, 1, 1], [0, 2, 3], [0, 4, 7]]
 
+    def test_float_bits_level_rejected(self, toy8):
+        """A float level is a DataError in uniform and discretize; a numpy integer an int."""
+        with pytest.raises(DataError, match="bits level 2.5 is not an integer"):
+            GranulationScheme.uniform(toy8, 2.5)
+        with pytest.raises(DataError, match="bits level 2.5 is not an integer"):
+            discretize(toy8, GranulationScheme({"a2": 2.5}))
+        bits = GranulationScheme.uniform(toy8, np.int64(2)).bits["a2"]
+        assert (type(bits), bits) == (int, 2)
+
     def test_scheme_rejects_categorical_and_unknown(self, toy8):
         with pytest.raises(DataError):
             discretize(toy8, GranulationScheme({"a1": 2}))
@@ -233,7 +242,7 @@ def test_attr_subset_refinement_property(seed):
     small = rng.sample(big, rng.randint(0, len(big)))
     p_big = partition_by(view, big)
     p_small = partition_by(view, small)
-    assert p_big.refines(p_small)
+    assert refines(p_big, p_small)
 
 
 @settings(max_examples=60, deadline=None)
@@ -245,7 +254,7 @@ def test_bit_refinement_property(seed, bits):
     attrs = [a.name for a in table.condition_attributes]
     coarse = partition_by(discretize(table, GranulationScheme({a: bits for a in numeric})), attrs)
     fine = partition_by(discretize(table, GranulationScheme({a: bits + 1 for a in numeric})), attrs)
-    assert fine.refines(coarse)
+    assert refines(fine, coarse)
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,11 +266,11 @@ def test_refines_matches_loop_oracle(fine, merge, split):
     coarse = [merge[b] for b in fine]
     if split:
         coarse[len(coarse) // 2] = 4
-    p_fine = Partition.from_labels(fine)
-    p_coarse = Partition.from_labels(coarse)
+    p_fine = partition_from_labels(fine)
+    p_coarse = partition_from_labels(coarse)
     for a, b in ((p_fine, p_coarse), (p_coarse, p_fine)):
-        assert a.refines(b) == refines_by_loop(a, b)
-    assert p_fine.refines(Partition.single_block(p_fine.n + 1)) is False
+        assert refines(a, b) == refines_by_loop(a, b)
+    assert refines(p_fine, Partition.single_block(p_fine.n + 1)) is False
 
 
 # Small codes and codes up to 2**62 (the missing bin at 62 bits), so keys
@@ -274,14 +283,14 @@ CODE = st.one_of(st.integers(0, 9), st.sampled_from([2**61, 2**62 - 1, 2**62]),
 @given(data=st.data(), n=st.integers(1, 30))
 def test_refine_matches_per_column_fold(data, n):
     blocks = data.draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
-    start = Partition.from_labels(blocks)
+    start = partition_from_labels(blocks)
     columns = [np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
                         dtype=np.int64)
                for pool in data.draw(st.lists(st.lists(CODE, min_size=1, max_size=4),
                                               max_size=5))]
     got = refine(start, columns)
     assert got.block_of.tolist() == refine_by_fold(start, columns).block_of.tolist()
-    assert got.refines(start)
+    assert refines(got, start)
 
 
 @settings(max_examples=100, deadline=None)
